@@ -48,14 +48,6 @@ class CoarseningHierarchy:
     def level_size(self, c: int) -> int:
         return self.levels[c].num_vertices
 
-    def summary(self) -> str:
-        lines = []
-        for c, g in enumerate(self.levels):
-            lines.append(
-                f"level {c}: {g.num_vertices} slots = {self.num_real[c]} real"
-                f" + {self.num_fake[c]} fake")
-        return "\n".join(lines)
-
 
 def _match_round(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One greedy matching pass; returns fine-vertex -> cluster-id map."""
@@ -204,15 +196,3 @@ def apply_perm(f_tree: Tensor, hierarchy: CoarseningHierarchy) -> Tensor:
     if f_tree.shape[0] != hierarchy.level_size(0):
         raise ShapeError("apply_perm", f_tree.shape, (hierarchy.level_size(0),))
     return T.gather_rows(f_tree, hierarchy.perm)
-
-
-def scatter_to_tree(f_orig: np.ndarray, hierarchy: CoarseningHierarchy) -> np.ndarray:
-    """Inverse of apply_perm on plain arrays: embed original-order rows
-    into level-0 tree order, zero-filling fake slots."""
-    f_orig = np.asarray(f_orig)
-    if f_orig.shape[0] != hierarchy.perm.size:
-        raise ValueError(
-            f"scatter_to_tree: expected {hierarchy.perm.size} rows, got {f_orig.shape[0]}")
-    out = np.zeros((hierarchy.level_size(0),) + f_orig.shape[1:], dtype=f_orig.dtype)
-    out[hierarchy.perm] = f_orig
-    return out

@@ -17,7 +17,42 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-class Linear:
+def _walk(name: str, value):
+    """(dotted name, module or parameter) for value and everything below it.
+
+    List items and ChebFilter coefficients are named by index; None and
+    non-module objects (arrays, graphs, templates, numbers) are skipped.
+    """
+    if isinstance(value, ChebFilter):
+        value = value.coefficients
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _walk(f"{name}.{i}", item)
+    elif isinstance(value, Module):
+        yield name, value
+        for attr, item in vars(value).items():
+            yield from _walk(f"{name}.{attr}", item)
+    elif isinstance(value, Tensor) and value.requires_grad:
+        yield name, value
+
+
+class Module:
+    """Finds parameters (tensors with requires_grad) and batch norms by
+    walking attributes in assignment order. The dotted names are the tensor
+    names in checkpoints: renaming an attribute changes the file format."""
+
+    def _items(self):
+        for attr, value in vars(self).items():
+            yield from _walk(attr, value)
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(n, p) for n, p in self._items() if isinstance(p, Tensor)]
+
+    def named_batchnorms(self) -> list[tuple[str, BatchNorm1d]]:
+        return [(n, m) for n, m in self._items() if isinstance(m, BatchNorm1d)]
+
+
+class Linear(Module):
     """y = x @ W + b for (batch, n_in) inputs."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
@@ -31,11 +66,8 @@ class Linear:
         y = T.matmul(x, self.weight)
         return T.add(y, T.repeat_rows(self.bias, y.shape[0]))
 
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class BatchNorm1d:
+class BatchNorm1d(Module):
     """Per-feature normalization over axis 0 of a (batch, features) input.
 
     Training mode normalizes by batch statistics (differentiable through
@@ -78,9 +110,6 @@ class BatchNorm1d:
         scaled = T.mul(xhat, T.repeat_rows(self.gamma, b))
         return T.add(scaled, T.repeat_rows(self.beta, b))
 
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
 
 def dropout(x: Tensor, p: float, training: bool,
             rng: np.random.Generator | None) -> Tensor:
@@ -104,7 +133,7 @@ def make_cheb_filter(f_in: int, f_out: int, order: int,
     ])
 
 
-class GraphConvBlock:
+class GraphConvBlock(Module):
     """Chebyshev conv -> batchnorm (per feature over batch x vertices) -> ReLU.
 
     Operates on the stacked (V, batch * f) layout shared with chebyshev_conv.
@@ -123,10 +152,3 @@ class GraphConvBlock:
         flat = T.reshape(y, (v * batch, self.f_out))
         flat = T.relu(self.bn.forward(flat, training))
         return T.reshape(flat, (v, batch * self.f_out))
-
-    def parameters(self):
-        params = [(f"filter.{k}", c) for k, c in enumerate(self.filter.coefficients)]
-        return params + [(f"bn.{n}", p) for n, p in self.bn.parameters()]
-
-    def bn_modules(self):
-        return [("bn", self.bn)]

@@ -18,7 +18,8 @@ import numpy as np
 from meshlift import tensor as T
 from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
 from meshlift.graphs import Graph, ScaledLaplacian, chebyshev_conv, scaled_laplacian
-from meshlift.layers import BatchNorm1d, GraphConvBlock, Linear, dropout, make_cheb_filter
+from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
+                             make_cheb_filter)
 from meshlift.template import MeshTemplate
 from meshlift.tensor import Tensor
 
@@ -38,7 +39,7 @@ def fit_widths(widths, n_levels: int) -> list[int]:
     return out
 
 
-class _ResidualBlock:
+class _ResidualBlock(Module):
     """Two (linear -> batchnorm -> ReLU -> dropout) stages with an additive skip."""
 
     def __init__(self, width: int, drop_p: float, rng, dtype):
@@ -55,18 +56,8 @@ class _ResidualBlock:
                     self.drop_p, training, rng)
         return T.add(x, h)
 
-    def parameters(self):
-        out = []
-        for name, mod in (("fc1", self.fc1), ("bn1", self.bn1),
-                          ("fc2", self.fc2), ("bn2", self.bn2)):
-            out += [(f"{name}.{n}", p) for n, p in mod.parameters()]
-        return out
 
-    def bn_modules(self):
-        return [("bn1", self.bn1), ("bn2", self.bn2)]
-
-
-class PoseLifter:
+class PoseLifter(Module):
     """Lift flattened normalized 2D keypoints to a root-relative 3D pose (mm)."""
 
     def __init__(self, num_joints: int, hidden: int = 4096, num_blocks: int = 2,
@@ -96,21 +87,30 @@ class PoseLifter:
         root = T.repeat_rows(T.gather_rows(jbf, [self.root_index]), j)
         return T.reshape(T.transpose(T.sub(jbf, root), (1, 0, 2)), (b, 3 * j))
 
-    def named_parameters(self):
-        out = [(f"fc_in.{n}", p) for n, p in self.fc_in.parameters()]
-        for i, blk in enumerate(self.blocks):
-            out += [(f"blocks.{i}.{n}", p) for n, p in blk.parameters()]
-        out += [(f"fc_out.{n}", p) for n, p in self.fc_out.parameters()]
-        return out
 
-    def named_batchnorms(self):
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out += [(f"blocks.{i}.{n}", bn) for n, bn in blk.bn_modules()]
-        return out
+class _Level(Module):
+    """The two graph-conv blocks of one mesh level, plus the across-level
+    skip projection when the skip changes the feature width."""
+
+    def __init__(self, f_in: int, f_out: int, order: int, project_skip: bool,
+                 rng, dtype):
+        self.a = GraphConvBlock(f_in, f_out, order, rng, dtype)
+        self.b = GraphConvBlock(f_out, f_out, order, rng, dtype)
+        self.skip_proj = None
+        if project_skip:
+            s = np.sqrt(6.0 / f_in)
+            self.skip_proj = Tensor(rng.uniform(-s, s, size=(f_in, f_out)),
+                                    requires_grad=True, dtype=dtype)
 
 
-class MeshRegressor:
+class _Head(Module):
+    """The last Chebyshev filter, to 3 coordinates per vertex."""
+
+    def __init__(self, f_in: int, order: int, rng, dtype):
+        self.filter = make_cheb_filter(f_in, 3, order, rng, dtype)
+
+
+class MeshRegressor(Module):
     """Regress root-relative mesh vertices from 2D keypoints plus a 3D pose."""
 
     def __init__(self, template: MeshTemplate, hierarchy: CoarseningHierarchy,
@@ -124,7 +124,6 @@ class MeshRegressor:
         self.hierarchy = hierarchy
         self.pose_lap = scaled_laplacian(pose_graph, seed=hierarchy.seed)
         self.num_joints = pose_graph.num_vertices
-        self.order = order
         self.widths = fit_widths(level_widths, c + 1)
         self.pose_width = pose_width
         self.across_level_residual = across_level_residual
@@ -136,23 +135,14 @@ class MeshRegressor:
         coarse_size = hierarchy.level_size(c)
         self.lift = Linear(self.num_joints * pose_width,
                            coarse_size * self.widths[0], rng, dtype)
-        self.level_blocks = []
-        self.skip_projections: list[Tensor | None] = []
+        self.levels = []
         prev = self.widths[0]
         for w in self.widths:
-            self.level_blocks.append((
-                GraphConvBlock(prev, w, order, rng, dtype),
-                GraphConvBlock(w, w, order, rng, dtype),
-            ))
-            if across_level_residual and prev != w:
-                s = np.sqrt(6.0 / prev)
-                self.skip_projections.append(Tensor(
-                    rng.uniform(-s, s, size=(prev, w)), requires_grad=True,
-                    dtype=dtype))
-            else:
-                self.skip_projections.append(None)
+            self.levels.append(_Level(prev, w, order,
+                                      across_level_residual and prev != w,
+                                      rng, dtype))
             prev = w
-        self.head = make_cheb_filter(self.widths[-1], 3, order, rng, dtype)
+        self.head = _Head(self.widths[-1], order, rng, dtype)
 
     def forward(self, p2d: Tensor, p3d: Tensor, training: bool = False) -> Tensor:
         """(B, J, 2) normalized keypoints + (B, J, 3) pose -> (B, V, 3) mesh (mm)."""
@@ -179,15 +169,15 @@ class MeshRegressor:
         x = T.reshape(T.transpose(T.reshape(x, (b, coarse, self.widths[0])),
                                   (1, 0, 2)), (coarse, b * self.widths[0]))
 
-        for i, (blk_a, blk_b) in enumerate(self.level_blocks):
+        for i, lvl in enumerate(self.levels):
             level = c - i
             lap = h.scaled_laplacians[level]
             skip = x
-            y = blk_a.forward(x, lap, b, training)
+            y = lvl.a.forward(x, lap, b, training)
             # residual around the second conv of the level
-            x = T.add(y, blk_b.forward(y, lap, b, training))
+            x = T.add(y, lvl.b.forward(y, lap, b, training))
             if self.across_level_residual:
-                proj = self.skip_projections[i]
+                proj = lvl.skip_proj
                 if proj is not None:
                     v = skip.shape[0]
                     skip = T.reshape(T.matmul(
@@ -197,41 +187,7 @@ class MeshRegressor:
             if level > 0:
                 x = upsample_features(x, h, level=level - 1)
 
-        x = chebyshev_conv(x, h.scaled_laplacians[0], self.head, batch=b)
+        x = chebyshev_conv(x, h.scaled_laplacians[0], self.head.filter, batch=b)
         x = apply_perm(x, h)                                  # (V_orig, B*3)
         v_orig = x.shape[0]
         return T.transpose(T.reshape(x, (v_orig, b, 3)), (1, 0, 2))
-
-    def named_parameters(self):
-        out = []
-        for i, blk in enumerate(self.pose_blocks):
-            out += [(f"pose_blocks.{i}.{n}", p) for n, p in blk.parameters()]
-        out += [(f"lift.{n}", p) for n, p in self.lift.parameters()]
-        for i, (blk_a, blk_b) in enumerate(self.level_blocks):
-            out += [(f"levels.{i}.a.{n}", p) for n, p in blk_a.parameters()]
-            out += [(f"levels.{i}.b.{n}", p) for n, p in blk_b.parameters()]
-            proj = self.skip_projections[i]
-            if proj is not None:
-                out.append((f"levels.{i}.skip_proj", proj))
-        out += [(f"head.filter.{k}", t) for k, t in enumerate(self.head.coefficients)]
-        return out
-
-    def named_batchnorms(self):
-        out = []
-        for i, blk in enumerate(self.pose_blocks):
-            out += [(f"pose_blocks.{i}.{n}", bn) for n, bn in blk.bn_modules()]
-        for i, (blk_a, blk_b) in enumerate(self.level_blocks):
-            out += [(f"levels.{i}.a.{n}", bn) for n, bn in blk_a.bn_modules()]
-            out += [(f"levels.{i}.b.{n}", bn) for n, bn in blk_b.bn_modules()]
-        return out
-
-
-def parameter_count(model) -> int:
-    return sum(p.size for _, p in model.named_parameters())
-
-
-def check_unique_parameter_names(model) -> None:
-    names = [n for n, _ in model.named_parameters()]
-    if len(names) != len(set(names)):
-        dup = sorted({n for n in names if names.count(n) > 1})
-        raise ValueError(f"duplicate parameter names: {dup}")

@@ -63,8 +63,8 @@ class Tape:
 
     Entries are appended in forward execution order, which is a valid
     topological order; backward() walks them in exact reverse. A tape can
-    be consumed by backward() once; a second call without a fresh forward
-    is a hard error.
+    be consumed by backward() once, which drops its entries; a second call
+    without a fresh forward is a hard error.
     """
 
     def __init__(self) -> None:
@@ -80,9 +80,6 @@ class Tape:
         if popped is not self:
             raise RuntimeError("tape stack corrupted")
         return False
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 _TAPE_STACK: list[Tape] = []
@@ -144,12 +141,6 @@ class Tensor:
         """Leaf copy in another float dtype; no gradient link to self."""
         return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
 
-    def clear_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     # operator sugar; scalars dispatch to the scalar ops
     def __add__(self, other):
         if isinstance(other, Tensor):
@@ -178,21 +169,6 @@ class Tensor:
 
     def __neg__(self):
         return scalar_mul(self, -1.0)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -536,8 +512,8 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss over its recording tape.
 
     Populates .grad on every reachable requires_grad tensor (accumulating
-    into any existing .grad). Consumes the tape: calling backward a second
-    time without re-running the forward raises.
+    into any existing .grad). Consumes the tape and empties its entries:
+    calling backward a second time without re-running the forward raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -553,10 +529,13 @@ def backward(loss: Tensor) -> None:
             "backward: tape already consumed; re-run the forward before "
             "calling backward again")
     tape.consumed = True
+    # each taped output points back at the tape, so a tape that kept its
+    # entries would keep the step's activations alive until a cyclic GC
+    entries, tape.entries = tape.entries, []
 
     # pending[id(tensor)] = (tensor, accumulated gradient)
     pending: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
-    for name, inputs, out, bw in reversed(tape.entries):
+    for name, inputs, out, bw in reversed(entries):
         got = pending.pop(id(out), None)
         if got is None:
             continue  # not an ancestor of the loss

@@ -58,12 +58,15 @@ class RMSprop:
             p.data -= (self.lr * g / (np.sqrt(v) + self.eps)).astype(p.data.dtype)
             p.grad = None
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
 
 # ------------------------------------------------------------ model assembly
+
+def _build_posenet(cfg: RunConfig, template, dtype=np.float32) -> PoseLifter:
+    return PoseLifter(num_joints=template.num_joints, hidden=cfg.model.hidden,
+                      num_blocks=cfg.model.num_blocks,
+                      drop_p=cfg.model.dropout, root_index=ROOT_INDEX,
+                      seed=cfg.seed, dtype=dtype)
+
 
 def build_models(cfg: RunConfig, dtype=np.float32):
     """Template, graph hierarchy, and freshly initialized networks."""
@@ -72,10 +75,7 @@ def build_models(cfg: RunConfig, dtype=np.float32):
                                 seed=cfg.seed)
     pose_graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                                   template.symmetry_pairs)
-    posenet = PoseLifter(num_joints=template.num_joints, hidden=cfg.model.hidden,
-                         num_blocks=cfg.model.num_blocks,
-                         drop_p=cfg.model.dropout, root_index=ROOT_INDEX,
-                         seed=cfg.seed, dtype=dtype)
+    posenet = _build_posenet(cfg, template, dtype)
     meshnet = MeshRegressor(template, hierarchy, pose_graph,
                             level_widths=cfg.model.level_widths,
                             pose_width=cfg.model.pose_width,
@@ -95,20 +95,14 @@ def collect_state(model, prefix: str) -> dict:
 
 
 def restore_state(model, prefix: str, tensors: dict) -> None:
-    for name, p in model.named_parameters():
-        key = f"{prefix}.{name}"
+    """Copy ``tensors`` in place into the arrays that collect_state names."""
+    for key, live in collect_state(model, prefix).items():
         if key not in tensors:
             raise ValueError(f"checkpoint missing tensor {key!r}")
-        if tensors[key].shape != p.data.shape:
+        if tensors[key].shape != live.shape:
             raise ValueError(f"checkpoint tensor {key!r} has shape "
-                             f"{tensors[key].shape}, expected {p.data.shape}")
-        p.data[:] = tensors[key].astype(p.data.dtype)
-    for name, bn in model.named_batchnorms():
-        for stat in ("running_mean", "running_var"):
-            key = f"{prefix}.{name}.{stat}"
-            if key not in tensors:
-                raise ValueError(f"checkpoint missing tensor {key!r}")
-            getattr(bn, stat)[:] = tensors[key].astype(bn.running_mean.dtype)
+                             f"{tensors[key].shape}, expected {live.shape}")
+        live[:] = tensors[key].astype(live.dtype)
 
 
 def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
@@ -122,23 +116,31 @@ def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
     save_checkpoint(path, checkpoint_config(cfg), tensors)
 
 
+def _restore_models(path, cfg: RunConfig, dtype=np.float32):
+    """build_models' tuple, with the networks the checkpoint holds restored
+    from it, plus the set of restored prefixes ("posenet", "meshnet")."""
+    stored, tensors = load_checkpoint(path)
+    check_checkpoint_config(stored, cfg)
+    models = build_models(cfg, dtype)
+    restored = set()
+    for prefix, model in (("posenet", models[3]), ("meshnet", models[4])):
+        if any(k.startswith(prefix + ".") for k in tensors):
+            restore_state(model, prefix, tensors)
+            restored.add(prefix)
+    return models, restored
+
+
 def load_models(path, cfg: RunConfig, dtype=np.float32):
     """Rebuild networks from a checkpoint, cross-checked against ``cfg``.
 
     Returns (template, hierarchy, pose_graph, posenet_or_None,
     meshnet_or_None).
     """
-    stored, tensors = load_checkpoint(path)
-    check_checkpoint_config(stored, cfg)
-    template, hierarchy, pose_graph, posenet, meshnet = build_models(cfg, dtype)
-    has_pose = any(k.startswith("posenet.") for k in tensors)
-    has_mesh = any(k.startswith("meshnet.") for k in tensors)
-    if has_pose:
-        restore_state(posenet, "posenet", tensors)
-    if has_mesh:
-        restore_state(meshnet, "meshnet", tensors)
+    (template, hierarchy, pose_graph, posenet, meshnet), restored = \
+        _restore_models(path, cfg, dtype)
     return (template, hierarchy, pose_graph,
-            posenet if has_pose else None, meshnet if has_mesh else None)
+            posenet if "posenet" in restored else None,
+            meshnet if "meshnet" in restored else None)
 
 
 # -------------------------------------------------------------- batch making
@@ -193,9 +195,11 @@ class TrainResult:
 
 
 class _TraceWriter:
-    def __init__(self, path):
+    def __init__(self, out_dir, name):
         self.rows = []
-        self.path = Path(path) if path else None
+        self.path = Path(out_dir) / name if out_dir else None
+        if self.path:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", newline="") if self.path else None
         self._csv = csv.writer(self._fh) if self._fh else None
         if self._csv:
@@ -236,15 +240,13 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     """Pre-train the 2D->3D lifter; emits a per-epoch mean loss trace."""
     if not samples:
         raise ValueError("train_posenet: empty dataset")
-    template, _, _, posenet, _ = build_models(cfg)
+    template = build_tube_body(cfg.template)
+    posenet = _build_posenet(cfg, template)
     tc = cfg.train
     opt = RMSprop(posenet.named_parameters(), lr=tc.stage1_lr)
     tracker = _GradTracker(posenet.named_parameters())
     synth = cfg.synth if cfg.synth_enabled else None
-    out_dir = Path(out_dir) if out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _TraceWriter(out_dir / "trace_stage1.csv" if out_dir else None)
+    writer = _TraceWriter(out_dir, "trace_stage1.csv")
     n = len(samples)
     j = template.num_joints
     it = 0
@@ -278,7 +280,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead(),
                          trace_path=writer.path)
     if out_dir:
-        result.checkpoint_path = out_dir / "posenet.ckpt"
+        result.checkpoint_path = Path(out_dir) / "posenet.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet)
     result.posenet = posenet
     return result
@@ -293,23 +295,20 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
         raise ValueError("train_full: empty dataset")
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")
-    template, _, _, posenet, meshnet = load_models(posenet_checkpoint, cfg)
-    if posenet is None:
+    # a stage-1 checkpoint has no mesh weights: the mesh regressor then
+    # starts from its fresh initialization
+    (template, _, _, posenet, meshnet), restored = \
+        _restore_models(posenet_checkpoint, cfg)
+    if "posenet" not in restored:
         raise ValueError("train_full: checkpoint has no lifter weights")
-    if meshnet is None:
-        _, _, _, _, meshnet = build_models(cfg)
     tc = cfg.train
-    named = list(meshnet.named_parameters())
-    named = [(f"meshnet.{n}", p) for n, p in named]
+    named = [(f"meshnet.{n}", p) for n, p in meshnet.named_parameters()]
     if not tc.freeze_posenet:
         named += [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
     opt = RMSprop(named, lr=tc.stage2_lr)
     tracker = _GradTracker(named)
     synth = cfg.synth if cfg.synth_enabled else None
-    out_dir = Path(out_dir) if out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _TraceWriter(out_dir / "trace_stage2.csv" if out_dir else None)
+    writer = _TraceWriter(out_dir, "trace_stage2.csv")
     n = len(samples)
     j = template.num_joints
     weights = tc.loss_weights
@@ -368,7 +367,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
     result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead(),
                          trace_path=writer.path)
     if out_dir:
-        result.checkpoint_path = out_dir / "full.ckpt"
+        result.checkpoint_path = Path(out_dir) / "full.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet,
                     meshnet=meshnet)
     result.posenet = posenet

@@ -184,7 +184,8 @@ class TestUpsampleAndPerm:
     def test_apply_perm_roundtrip(self):
         g, h = self.make()
         f = np.random.default_rng(1).standard_normal((g.num_vertices, 4))
-        tree = C.scatter_to_tree(f, h)
+        tree = np.zeros((h.level_size(0), 4))
+        tree[h.perm] = f
         back = C.apply_perm(Tensor(tree, dtype=np.float64), h)
         np.testing.assert_array_equal(back.data, f)
 

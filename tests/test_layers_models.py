@@ -7,10 +7,29 @@ from meshlift import layers as L
 from meshlift import tensor as T
 from meshlift.coarsen import graclus_coarsen
 from meshlift.graphs import ScaledLaplacian, build_mesh_graph, build_pose_graph
-from meshlift.models import (MeshRegressor, PoseLifter, check_unique_parameter_names,
-                             fit_widths, parameter_count)
+from meshlift.models import MeshRegressor, PoseLifter, fit_widths
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tape, Tensor
+
+
+class TestModuleProtocol:
+    def test_names_follow_attribute_order(self):
+        class Net(L.Module):
+            def __init__(self):
+                rng = np.random.default_rng(0)
+                self.template = object()
+                self.fc = L.Linear(2, 3, rng)
+                self.frozen = Tensor(np.zeros(2))
+                self.blocks = [L.GraphConvBlock(3, 3, 2, rng), None]
+                self.bn = L.BatchNorm1d(3)
+
+        net = Net()
+        assert [n for n, _ in net.named_parameters()] == [
+            "fc.weight", "fc.bias", "blocks.0.filter.0", "blocks.0.filter.1",
+            "blocks.0.bn.gamma", "blocks.0.bn.beta", "bn.gamma", "bn.beta"]
+        bns = net.named_batchnorms()
+        assert [n for n, _ in bns] == ["blocks.0.bn", "bn"]
+        assert bns[0][1] is net.blocks[0].bn and bns[1][1] is net.bn
 
 
 def tiny_setup(levels=2, seed=0, dtype=np.float32):
@@ -140,7 +159,8 @@ class TestPoseLifter:
 
     def test_unique_param_names_and_grads_flow(self):
         net = self.make()
-        check_unique_parameter_names(net)
+        names = [n for n, _ in net.named_parameters()]
+        assert len(names) == len(set(names))
         x = Tensor(np.random.default_rng(3).standard_normal((4, 24)).astype(np.float32))
         with Tape():
             loss = T.reduce_sum(T.absolute(net.forward(x, training=True,
@@ -189,7 +209,8 @@ class TestMeshRegressor:
 
     def test_unique_names_and_all_grads(self):
         _, _, net = self.make()
-        check_unique_parameter_names(net)
+        names = [n for n, _ in net.named_parameters()]
+        assert len(names) == len(set(names))
         p2d, p3d = self.inputs(2)
         with Tape():
             loss = T.reduce_sum(T.absolute(net.forward(p2d, p3d, training=True)))
@@ -244,7 +265,7 @@ class TestMeshRegressor:
             prev = w
         v0 = hierarchy.level_size(0)
         dense += (v0 * net.widths[-1]) * (v0 * 3)
-        assert parameter_count(net) < dense
+        assert sum(p.size for _, p in net.named_parameters()) < dense
 
     def test_across_level_residual_variant(self):
         _, _, net = self.make(across_level_residual=True)

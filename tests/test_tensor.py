@@ -1,5 +1,8 @@
 """Tensor engine: forward values, taped backward, finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,23 @@ class TestErrors:
         T.backward(y)
         with pytest.raises(RuntimeError, match="consumed"):
             T.backward(y)
+
+    def test_backward_frees_tape_without_cyclic_gc(self):
+        # taped outputs point back at their tape, so the tape must not keep
+        # holding them once backward is done
+        a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                y = T.reduce_sum(T.mul(a, a * 2.0))
+            T.backward(y)
+            ref = weakref.ref(tape)
+            del tape, y
+            assert ref() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(a.grad, 4.0)
 
 
 class TestBackwardValues:

@@ -1,10 +1,14 @@
 """Optimizer arithmetic, the two-stage loops, and checkpoint round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
+from meshlift.io import load_checkpoint
 from meshlift.tensor import Tape, Tensor, backward, reduce_sum
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
                             train_full, train_posenet)
@@ -233,3 +237,50 @@ class TestStage2:
     def test_no_dead_parameters_stage2(self, tmp_path):
         _, _, _, s2 = self.run_stages(tmp_path)
         assert s2.dead_parameters == []
+
+    def test_mesh_hierarchy_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        coarsen = train.graclus_coarsen
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return coarsen(*args, **kwargs)
+
+        monkeypatch.setattr(train, "graclus_coarsen", counting)
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        s1 = train_posenet(cfg, samples, out_dir=tmp_path / "s1")
+        assert len(calls) == 0
+        train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
+        assert len(calls) == 1
+
+
+# A checkpoint written by the first release of the format. Its run config:
+# a tiny body, two levels, decreasing level widths and across-level skips,
+# so that filter, batch-norm and skip-projection tensors all occur.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_tiny.ckpt"
+V1_CONFIG = {
+    "seed": 3,
+    "template": {"verts_per_ring": 3, "rings_per_bone": 2},
+    "model": {"hidden": 8, "num_blocks": 1, "pose_width": 2, "order": 2,
+              "levels": 2, "level_widths": [4, 3, 2],
+              "across_level_residual": True},
+}
+
+
+class TestCheckpointV1:
+    def test_fixture_covers_every_tensor_kind(self):
+        _, tensors = load_checkpoint(V1_CHECKPOINT)
+        for name in ("posenet.blocks.0.bn1.running_var",
+                     "meshnet.levels.1.skip_proj", "meshnet.levels.2.b.filter.1",
+                     "meshnet.head.filter.0"):
+            assert name in tensors, name
+        assert "meshnet.levels.0.skip_proj" not in tensors
+
+    def test_loads_and_resaves_byte_identical(self, tmp_path):
+        cfg = resolve_config("desk", overrides=V1_CONFIG)
+        _, _, _, posenet, meshnet = load_models(V1_CHECKPOINT, cfg)
+        assert posenet is not None and meshnet is not None
+        out = tmp_path / "resaved.ckpt"
+        save_models(out, cfg, posenet=posenet, meshnet=meshnet)
+        assert out.read_bytes() == V1_CHECKPOINT.read_bytes()
