@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .data import normalize_2d_pose, synthesize_pose_errors
-from .metrics import f_score, mpjpe, mpvpe, pa_mpjpe
+from .metrics import f_scores, mpjpe, mpvpe, pa_mpjpe
 from .template import ROOT_INDEX, MeshTemplate
 from .tensor import Tensor
 
@@ -98,9 +98,9 @@ def run_evaluation(cfg: RunConfig, template: MeshTemplate, posenet, meshnet,
     if "gt_mesh" in pred:
         root_row = template.joint_regressor[ROOT_INDEX]
         report["mpvpe_mm"] = mpvpe(pred["pred_mesh"], pred["gt_mesh"], root_row)
-        report["f_at"] = {str(float(tau)): f_score(pred["pred_mesh"],
-                                                   pred["gt_mesh"], tau)
-                          for tau in cfg.eval.taus}
+        taus = cfg.eval.taus
+        scores = f_scores(pred["pred_mesh"], pred["gt_mesh"], taus)
+        report["f_at"] = {str(float(tau)): f for tau, f in zip(taus, scores)}
     else:
         report["mpvpe_mm"] = None
         report["f_at"] = {}

@@ -171,22 +171,3 @@ def save_obj(path, vertices: np.ndarray, faces: np.ndarray) -> None:
             fh.write(f"v {x:.6g} {y:.6g} {z:.6g}\n")
         for a, b, c in faces + 1:
             fh.write(f"f {a} {b} {c}\n")
-
-
-def load_obj(path):
-    """Minimal OBJ reader for round-trip tests: v and f lines only."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0] not in ("v", "f"):
-                continue
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ValueError(f"obj {path}:{lineno}: malformed vertex")
-                verts.append([float(p) for p in parts[1:]])
-            else:
-                if len(parts) != 4:
-                    raise ValueError(f"obj {path}:{lineno}: malformed face")
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)

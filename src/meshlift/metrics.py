@@ -14,6 +14,20 @@ import numpy as np
 
 PROCRUSTES_EPS = 1e-12
 ORTHONORMAL_TOL = 1e-9
+# Prediction rows per block of the nearest-neighbour sweep: its working
+# set is a few (NN_BLOCK_ROWS, P) float64 arrays, linear in the point count.
+NN_BLOCK_ROWS = 256
+
+
+def _validate_similarity(scale, rotation) -> None:
+    """Raise unless each scale is positive and each rotation proper (det +1)."""
+    if np.any(scale <= 0):
+        raise ValueError("SimilarityTransform: scale must be positive")
+    gram = np.matmul(np.swapaxes(rotation, -1, -2), rotation)
+    if not np.allclose(gram, np.eye(3), atol=ORTHONORMAL_TOL):
+        raise ValueError("SimilarityTransform: rotation is not orthonormal")
+    if np.any(np.abs(np.linalg.det(rotation) - 1.0) > ORTHONORMAL_TOL):
+        raise ValueError("SimilarityTransform: rotation must have det +1")
 
 
 @dataclass(frozen=True)
@@ -25,13 +39,7 @@ class SimilarityTransform:
     translation: np.ndarray  # (3,)
 
     def validate(self) -> None:
-        r = self.rotation
-        if self.scale <= 0:
-            raise ValueError("SimilarityTransform: scale must be positive")
-        if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL):
-            raise ValueError("SimilarityTransform: rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError("SimilarityTransform: rotation must have det +1")
+        _validate_similarity(self.scale, self.rotation)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -77,46 +85,51 @@ def mpjpe(pred, gt, root_index: int | None = 0, joint_mask=None) -> float:
     return float(err.mean())
 
 
-def procrustes_align(pred, gt) -> SimilarityTransform:
-    """Least-squares similarity transform taking ``pred`` onto ``gt``.
-
-    Classic Kabsch-Umeyama on one (N, 3) pair: optimal scale, rotation
-    (reflections excluded via the sign of the last singular vector),
-    and translation.
+def _kabsch_umeyama(pred, gt):
+    """Classic Kabsch-Umeyama for every ``pred[i]`` onto ``gt[i]`` at once:
+    optimal scale (N,), rotation (N, 3, 3), reflections excluded via the
+    sign of the last singular vector, and translation (N, 3).
     """
+    n = pred.shape[1]
+    if n < 3:
+        raise ValueError("procrustes_align: need at least 3 points")
+    mu_p = pred.mean(axis=1)
+    mu_g = gt.mean(axis=1)
+    p = pred - mu_p[:, None]
+    g = gt - mu_g[:, None]
+    var_p = (p ** 2).reshape(len(p), -1).sum(axis=1) / n
+    if np.any(var_p < PROCRUSTES_EPS):
+        raise ValueError("procrustes_align: degenerate input, zero spread")
+    cov = np.matmul(np.swapaxes(g, 1, 2), p) / n
+    u, d, vt = np.linalg.svd(cov)
+    s = np.ones_like(d)
+    s[np.linalg.det(u) * np.linalg.det(vt) < 0, 2] = -1.0
+    rot = np.matmul(u * s[:, None], vt)
+    scale = (d * s).sum(axis=1) / var_p
+    shift = np.matmul(scale[:, None, None] * rot, mu_p[:, :, None])[:, :, 0]
+    _validate_similarity(scale, rot)
+    return scale, rot, mu_g - shift
+
+
+def procrustes_align(pred, gt) -> SimilarityTransform:
+    """Least-squares similarity transform taking one (N, 3) ``pred`` onto
+    ``gt``: the one-pair view of the batched solver."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
         raise ValueError(f"expected matching (N, 3) arrays, got {pred.shape} "
                          f"and {gt.shape}")
-    n = pred.shape[0]
-    if n < 3:
-        raise ValueError("procrustes_align: need at least 3 points")
-    mu_p = pred.mean(axis=0)
-    mu_g = gt.mean(axis=0)
-    p = pred - mu_p
-    g = gt - mu_g
-    var_p = (p ** 2).sum() / n
-    if var_p < PROCRUSTES_EPS:
-        raise ValueError("procrustes_align: degenerate input, zero spread")
-    cov = g.T @ p / n
-    u, d, vt = np.linalg.svd(cov)
-    s = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        s[2, 2] = -1.0
-    rot = u @ s @ vt
-    scale = float((d * np.diag(s)).sum() / var_p)
-    tr = SimilarityTransform(scale=scale, rotation=rot,
-                             translation=mu_g - scale * rot @ mu_p)
-    tr.validate()
-    return tr
+    scale, rot, trans = _kabsch_umeyama(pred[None], gt[None])
+    return SimilarityTransform(scale=float(scale[0]), rotation=rot[0],
+                               translation=trans[0])
 
 
 def align_batch(pred, gt) -> np.ndarray:
     """Procrustes-align every sample of a batch onto its target."""
     pred, gt = _check_pair(pred, gt)
-    return np.stack([procrustes_align(pred[i], gt[i]).apply(pred[i])
-                     for i in range(pred.shape[0])])
+    scale, rot, trans = _kabsch_umeyama(pred, gt)
+    return (np.matmul(scale[:, None, None] * pred, np.swapaxes(rot, 1, 2))
+            + trans[:, None])
 
 
 def pa_mpjpe(pred, gt, joint_mask=None) -> float:
@@ -138,27 +151,52 @@ def mpvpe(pred_mesh, gt_mesh, root_regressor_row) -> float:
     return float(np.linalg.norm(pred - gt, axis=2).mean())
 
 
-def f_score(pred, gt, tau: float, align: bool = True) -> float:
-    """Surface F-score at threshold ``tau`` (mm), averaged over samples.
+def _nearest_distances(a, b):
+    """Distances from each point of ``a`` to its nearest in ``b``, and back.
 
-    Precision: fraction of predicted points within tau of the target
-    set; recall: the reverse. Uses brute-force nearest neighbours, and
-    similarity-aligns the prediction first unless ``align=False``.
+    Exact, in blocks of ``NN_BLOCK_ROWS`` rows of ``a``: squares are summed
+    x, y, z in that order, as ``np.linalg.norm`` does, and only the minima
+    are square-rooted (``sqrt`` is monotone and correctly rounded). The
+    Gram expansion is avoided: its cancellation can flip a ``<= tau`` test.
+    """
+    bx, by, bz = np.ascontiguousarray(b.T)
+    a_to_b = np.empty(len(a))
+    b_to_a = np.full(len(b), np.inf)
+    for start in range(0, len(a), NN_BLOCK_ROWS):
+        block = a[start:start + NN_BLOCK_ROWS]
+        sq = (block[:, 0:1] - bx) ** 2
+        sq += (block[:, 1:2] - by) ** 2
+        sq += (block[:, 2:3] - bz) ** 2
+        a_to_b[start:start + len(block)] = sq.min(axis=1)
+        np.minimum(b_to_a, sq.min(axis=0), out=b_to_a)
+    return np.sqrt(a_to_b), np.sqrt(b_to_a)
+
+
+def f_scores(pred, gt, taus, align: bool = True) -> list[float]:
+    """Surface F-score at each threshold in ``taus`` (mm), mean over samples.
+
+    Precision: fraction of predicted points within tau of the target set;
+    recall: the reverse. Similarity-aligns once unless ``align=False``,
+    then thresholds each sample's nearest-neighbour distances at every tau.
     """
     pred, gt = _check_pair(pred, gt)
     if pred.shape[1] == 0:
         raise ValueError("f_score: empty point set")
-    if tau <= 0:
+    if any(tau <= 0 for tau in taus):
         raise ValueError("tau must be positive")
     if align:
         pred = align_batch(pred, gt)
-    scores = []
-    for i in range(pred.shape[0]):
-        d = np.linalg.norm(pred[i][:, None, :] - gt[i][None, :, :], axis=2)
-        precision = (d.min(axis=1) <= tau).mean()
-        recall = (d.min(axis=0) <= tau).mean()
-        if precision + recall == 0:
-            scores.append(0.0)
-        else:
-            scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(scores))
+    scores = [[] for _ in taus]
+    for p, g in zip(pred, gt):
+        p_to_g, g_to_p = _nearest_distances(p, g)
+        for tau, per_sample in zip(taus, scores):
+            precision = (p_to_g <= tau).mean()
+            recall = (g_to_p <= tau).mean()
+            total = precision + recall
+            per_sample.append(0.0 if total == 0 else 2 * precision * recall / total)
+    return [float(np.mean(s)) for s in scores]
+
+
+def f_score(pred, gt, tau: float, align: bool = True) -> float:
+    """Surface F-score at one threshold ``tau`` (mm); see ``f_scores``."""
+    return f_scores(pred, gt, [tau], align)[0]

@@ -137,10 +137,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        """Leaf copy in another float dtype; no gradient link to self."""
-        return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
-
     # operator sugar; scalars dispatch to the scalar ops
     def __add__(self, other):
         if isinstance(other, Tensor):

@@ -29,6 +29,8 @@ from meshlift.template import TubeBodySpec, build_tube_body, euler_rotation
 from meshlift.tensor import Tensor
 from meshlift.train import train_full, train_posenet
 
+pytestmark = pytest.mark.acceptance
+
 TRAIN_SEED = 7
 TEST_SEED = 7001
 

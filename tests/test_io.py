@@ -7,7 +7,7 @@ import pytest
 
 from meshlift.data import PoseSample, generate_synthetic_dataset
 from meshlift.io import (CHECKPOINT_MAGIC, load_body_spec, load_checkpoint,
-                         load_dataset, load_obj, save_body_spec, save_checkpoint,
+                         load_dataset, save_body_spec, save_checkpoint,
                          save_dataset, save_obj)
 from meshlift.template import TubeBodySpec
 
@@ -158,7 +158,9 @@ class TestObj:
         faces = np.array([[0, 1, 2], [0, 2, 3]])
         p = tmp_path / "m.obj"
         save_obj(p, verts, faces)
-        v2, f2 = load_obj(p)
+        rows = [line.split() for line in p.read_text().splitlines()]
+        v2 = np.array([[float(x) for x in r[1:]] for r in rows if r[0] == "v"])
+        f2 = np.array([[int(x) - 1 for x in r[1:]] for r in rows if r[0] == "f"])
         np.testing.assert_allclose(v2, verts, rtol=1e-5)
         np.testing.assert_array_equal(f2, faces)
 

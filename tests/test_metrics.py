@@ -1,12 +1,15 @@
 """Metric identities and hand values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshlift.metrics import (SimilarityTransform, align_batch, f_score, mpjpe,
-                              mpvpe, pa_mpjpe, procrustes_align)
+from meshlift.metrics import (NN_BLOCK_ROWS, SimilarityTransform, align_batch,
+                              f_score, f_scores, mpjpe, mpvpe, pa_mpjpe,
+                              procrustes_align)
 from meshlift.template import euler_rotation
 
 
@@ -173,9 +176,52 @@ class TestFScore:
         assert f_score(pred, gt, tau=1e-3) == 1.0
         assert f_score(pred, gt, tau=1.0, align=False) < 1.0
 
+    @pytest.mark.parametrize("align", [True, False])
+    def test_equals_brute_force_reference(self, align):
+        # reference: the full (V, V, 3) norm matrix, one tau at a time;
+        # V spans more than one block of the nearest-neighbour sweep
+        rng = np.random.default_rng(6)
+        v = 2 * NN_BLOCK_ROWS + 37
+        gt = random_cloud(rng, n=3, p=v)
+        pred = gt + rng.standard_normal(gt.shape) * 3
+        taus = [0.01, 0.5, 2.0, 5.0, 10.0, 40.0]
+
+        def reference(tau):
+            p = align_batch(pred, gt) if align else pred
+            scores = []
+            for a, b in zip(p, gt):
+                d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+                precision = (d.min(axis=1) <= tau).mean()
+                recall = (d.min(axis=0) <= tau).mean()
+                total = precision + recall
+                scores.append(0.0 if total == 0 else 2 * precision * recall / total)
+            return float(np.mean(scores))
+
+        got = f_scores(pred, gt, taus, align=align)
+        assert got == [reference(tau) for tau in taus]
+        assert got == sorted(got) and 0.0 < got[3] < 1.0
+        for tau in taus:
+            assert f_score(pred, gt, tau, align=align) == \
+                f_scores(pred, gt, [tau], align=align)[0]
+
+    def test_memory_linear_in_vertex_count(self):
+        # a (V, V, 3) float64 difference array alone would be 216 MB here
+        rng = np.random.default_rng(7)
+        gt = random_cloud(rng, n=1, p=3000)
+        pred = gt + rng.standard_normal(gt.shape)
+        tracemalloc.start()
+        try:
+            f_scores(pred, gt, [5.0, 15.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             f_score(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), tau=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            f_scores(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), [1.0, -1.0])
         with pytest.raises(ValueError, match="empty"):
             f_score(np.zeros((1, 0, 3)), np.zeros((1, 0, 3)), tau=1.0)
 
@@ -189,3 +235,17 @@ class TestBatchedHelpers:
         for i in range(3):
             one = procrustes_align(pred[i], gt[i]).apply(pred[i])
             np.testing.assert_allclose(batch[i], one, rtol=0, atol=1e-12)
+
+    def test_align_batch_rejects_one_degenerate_sample(self):
+        rng = np.random.default_rng(8)
+        gt = random_cloud(rng, n=4)
+        pred = gt + rng.standard_normal(gt.shape) * 5
+        pred[2] = 7.0  # every point of one sample in one place: zero spread
+        with pytest.raises(ValueError) as one:
+            procrustes_align(pred[2], gt[2])
+        with pytest.raises(ValueError) as batch:
+            align_batch(pred, gt)
+        assert "zero spread" in str(one.value)
+        assert str(batch.value) == str(one.value)
+        with pytest.raises(ValueError, match="zero spread"):
+            pa_mpjpe(pred, gt)

@@ -281,5 +281,3 @@ def test_float32_training_float64_oracle_dtypes():
     assert out.dtype == np.float32
     kept = Tensor(np.ones(3, dtype=np.float64))
     assert kept.dtype == np.float64
-    a64 = a32.astype(np.float64)
-    assert a64.dtype == np.float64
