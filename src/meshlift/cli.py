@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import run_gradient_suite
 from .coarsen import graclus_coarsen
-from .config import echo_config, load_config_file, resolve_config
+from .config import echo_config, load_config_file, resolve_config, to_dict
 from .data import generate_synthetic_dataset
 from .evaluate import posenet_mpjpe, predict, report_lines, run_evaluation
 from .graphs import build_mesh_graph
@@ -48,7 +48,7 @@ def _resolve(args):
     if args.levels is not None:
         overrides.setdefault("model", {})["levels"] = args.levels
     if args.template:
-        overrides["template"] = load_body_spec(args.template).to_dict()
+        overrides["template"] = to_dict(load_body_spec(args.template))
     if args.input:
         overrides.setdefault("eval", {})["input"] = args.input
     if args.tau:
@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "gen-data":
             p.add_argument("--count", type=int, default=64,
                            help="number of samples")
-        if name == "coarsen":
-            p.add_argument("--inspect", action="store_true",
-                           help="print the per-level breakdown (default)")
         if name in ("infer", "export-obj"):
             p.add_argument("--index", type=int, default=0,
                            help="sample index in the dataset")

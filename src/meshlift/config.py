@@ -1,15 +1,20 @@
 """Run configuration: one JSON document describing a full experiment.
 
 Resolution order: dataclass defaults, then the named profile, then the
-config file, then CLI overrides. Unknown keys anywhere are rejected so
-typos fail loudly, and every run echoes the fully-resolved config.
+config file, then CLI overrides. One codec (`to_dict`/`from_dict`) maps
+every config dataclass to and from JSON. It rejects unknown keys, values
+of the wrong JSON type and non-finite floats, naming the dotted key path,
+so typos fail loudly. Every run echoes the fully-resolved config.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .data import ErrorSynthConfig
 from .losses import LossWeights
@@ -19,12 +24,62 @@ PROFILES = ("desk", "paper")
 INPUT_MODES = ("gt2d", "gt3d", "synth")
 
 
-def _strict_kwargs(cls, d: dict, ctx: str) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+def to_dict(obj) -> dict:
+    """A config dataclass as JSON data, in field order: tuples become
+    lists, dicts are copied and nested dataclasses recurse."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+def from_dict(cls, d, path: str):
+    """Build config dataclass ``cls`` from JSON data, checking each value
+    against its field's type hint without coercion. Missing keys keep their
+    defaults. Errors name the dotted key path, e.g. ``config.model.hidden``.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected object, got {d!r}")
+    hints = get_type_hints(cls)
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"{ctx}: unknown keys {sorted(unknown)}")
-    return d
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    return cls(**{k: _decode(hints[k], v, f"{path}.{k}") for k, v in d.items()})
+
+
+def _decode(hint, value, path: str):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # T | None
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _decode(hint, value, path)
+    if is_dataclass(hint):
+        return from_dict(hint, value, path)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_decode(args[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {k: _decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if hint is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = origin is None and isinstance(value, hint)
+    if not ok:
+        expected = {float: "finite float", tuple: "list", dict: "object"}.get(
+            origin or hint, hint.__name__)
+        raise ValueError(f"{path}: expected {expected}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -33,7 +88,7 @@ class ModelConfig:
     num_blocks: int = 2
     dropout: float = 0.5
     pose_width: int = 64
-    level_widths: tuple = (64, 64, 32, 32)
+    level_widths: tuple[int, ...] = (64, 64, 32, 32)
     order: int = 3
     levels: int = 3
     across_level_residual: bool = False
@@ -49,20 +104,6 @@ class ModelConfig:
             raise ValueError("model: levels must be >= 1")
         if not self.level_widths:
             raise ValueError("model: level_widths must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {"hidden": self.hidden, "num_blocks": self.num_blocks,
-                "dropout": self.dropout, "pose_width": self.pose_width,
-                "level_widths": list(self.level_widths), "order": self.order,
-                "levels": self.levels,
-                "across_level_residual": self.across_level_residual}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = cls(**_strict_kwargs(cls, d, "model"))
-        cfg.level_widths = tuple(cfg.level_widths)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -94,27 +135,11 @@ class TrainConfig:
         if self.decay_factor <= 0:
             raise ValueError("train: decay_factor must be positive")
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "loss_weights"}
-        d["loss_weights"] = {f.name: getattr(self.loss_weights, f.name)
-                             for f in fields(LossWeights)}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(_strict_kwargs(cls, d, "train"))
-        if "loss_weights" in d and isinstance(d["loss_weights"], dict):
-            d["loss_weights"] = LossWeights.from_dict(d["loss_weights"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
 
 @dataclass
 class EvalConfig:
-    taus: tuple = (5.0, 15.0)
-    joint_mask: tuple | None = None
+    taus: tuple[float, ...] = (5.0, 15.0)
+    joint_mask: tuple[int, ...] | None = None
     input: str = "gt2d"
 
     def validate(self) -> None:
@@ -124,21 +149,6 @@ class EvalConfig:
         if not self.taus or any(t <= 0 for t in self.taus):
             raise ValueError("eval: taus must be a non-empty list of positives")
 
-    def to_dict(self) -> dict:
-        return {"taus": list(self.taus),
-                "joint_mask": None if self.joint_mask is None
-                else list(self.joint_mask),
-                "input": self.input}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalConfig":
-        cfg = cls(**_strict_kwargs(cls, d, "eval"))
-        cfg.taus = tuple(cfg.taus)
-        if cfg.joint_mask is not None:
-            cfg.joint_mask = tuple(cfg.joint_mask)
-        cfg.validate()
-        return cfg
-
 
 @dataclass
 class RunConfig:
@@ -147,7 +157,6 @@ class RunConfig:
     template: TubeBodySpec = field(default_factory=TubeBodySpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    synth_enabled: bool = True
     synth: ErrorSynthConfig = field(default_factory=ErrorSynthConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
@@ -160,14 +169,6 @@ class RunConfig:
         self.train.validate()
         self.synth.validate()
         self.eval.validate()
-
-    def to_dict(self) -> dict:
-        synth = {"enabled": self.synth_enabled}
-        synth.update(self.synth.to_dict())
-        return {"seed": self.seed, "profile": self.profile,
-                "template": self.template.to_dict(),
-                "model": self.model.to_dict(), "train": self.train.to_dict(),
-                "synth": synth, "eval": self.eval.to_dict()}
 
 
 # Desk-scale profile, sized so a full two-stage run finishes on a laptop
@@ -211,25 +212,7 @@ def resolve_config(profile: str = "desk", file_dict: dict | None = None,
     for layer in (file_dict, overrides):
         if layer:
             raw = _merge(raw, layer)
-    known = {"seed", "profile", "template", "model", "train", "synth", "eval"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"config: unknown keys {sorted(unknown)}")
-    cfg = RunConfig(profile=raw["profile"])
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
-    if "template" in raw:
-        cfg.template = TubeBodySpec.from_dict(raw["template"])
-    if "model" in raw:
-        cfg.model = ModelConfig.from_dict(raw["model"])
-    if "train" in raw:
-        cfg.train = TrainConfig.from_dict(raw["train"])
-    if "synth" in raw:
-        synth = dict(raw["synth"])
-        cfg.synth_enabled = bool(synth.pop("enabled", True))
-        cfg.synth = ErrorSynthConfig.from_dict(synth)
-    if "eval" in raw:
-        cfg.eval = EvalConfig.from_dict(raw["eval"])
+    cfg = from_dict(RunConfig, raw, "config")
     cfg.validate()
     return cfg
 
@@ -249,15 +232,15 @@ def echo_config(cfg: RunConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "config.resolved.json"
-    path.write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
+    path.write_text(json.dumps(to_dict(cfg), indent=2) + "\n")
     return path
 
 
 def checkpoint_config(cfg: RunConfig) -> dict:
     """The config snapshot stored in checkpoints and cross-checked on load."""
-    return {"template": cfg.template.to_dict(), "levels": cfg.model.levels,
+    return {"template": to_dict(cfg.template), "levels": cfg.model.levels,
             "seed": cfg.seed, "widths": list(cfg.model.level_widths),
-            "K": cfg.model.order, "model": cfg.model.to_dict()}
+            "K": cfg.model.order, "model": to_dict(cfg.model)}
 
 
 def check_checkpoint_config(stored: dict, cfg: RunConfig) -> None:

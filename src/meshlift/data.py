@@ -30,8 +30,10 @@ class PoseSample:
 
 @dataclass
 class ErrorSynthConfig:
-    """Keypoint corruption rates; all zero means the identity transform."""
+    """Keypoint corruption rates; all zero means the identity transform.
+    ``enabled`` switches synthesis on for training."""
 
+    enabled: bool = True
     p_miss: float = 0.02
     p_swap: float = 0.03
     jitter_sigma_frac: float = 0.02
@@ -44,20 +46,6 @@ class ErrorSynthConfig:
 
     def is_identity(self) -> bool:
         return self.p_miss == 0.0 and self.p_swap == 0.0 and self.jitter_sigma_frac == 0.0
-
-    def to_dict(self) -> dict:
-        return {"p_miss": self.p_miss, "p_swap": self.p_swap,
-                "jitter_sigma_frac": self.jitter_sigma_frac}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ErrorSynthConfig":
-        known = {"p_miss", "p_swap", "jitter_sigma_frac"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"ErrorSynthConfig: unknown keys {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def normalize_2d_pose(pose2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import from_dict, to_dict
 from .data import PoseSample
 from .template import TubeBodySpec
 
@@ -24,7 +25,7 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------- body spec
 
 def save_body_spec(spec: TubeBodySpec, path) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(to_dict(spec), indent=2) + "\n")
 
 
 def load_body_spec(path) -> TubeBodySpec:
@@ -34,7 +35,7 @@ def load_body_spec(path) -> TubeBodySpec:
         raise ValueError(f"body spec {path}: invalid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ValueError(f"body spec {path}: expected a JSON object")
-    return TubeBodySpec.from_dict(raw)
+    return from_dict(TubeBodySpec, raw, f"body spec {path}: template")
 
 
 # ------------------------------------------------------------------ dataset
@@ -84,6 +85,10 @@ def load_dataset(path) -> list[PoseSample]:
                 if mesh.ndim != 2 or mesh.shape[1] != 3:
                     raise ValueError(f"dataset {path}:{lineno}: mesh must be (V, 3), "
                                      f"got {mesh.shape}")
+            for name, arr in (("pose2d", pose2d), ("pose3d", pose3d), ("mesh", mesh)):
+                if arr is not None and not np.isfinite(arr).all():
+                    raise ValueError(f"dataset {path}:{lineno}: {name} has "
+                                     f"non-finite values")
             samples.append(PoseSample(pose2d=pose2d, pose3d=pose3d, mesh=mesh,
                                       camera=rec.get("camera")))
     if not samples:

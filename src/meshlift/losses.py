@@ -38,14 +38,6 @@ class LossWeights:
         if self.edge_start_epoch < 1:
             raise ValueError("edge_start_epoch is 1-based and must be >= 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown loss weight keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 def _as_constant(x, dtype) -> Tensor:
     if isinstance(x, Tensor):

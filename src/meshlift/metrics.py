@@ -8,8 +8,6 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PROCRUSTES_EPS = 1e-12
@@ -22,28 +20,12 @@ NN_BLOCK_ROWS = 256
 def _validate_similarity(scale, rotation) -> None:
     """Raise unless each scale is positive and each rotation proper (det +1)."""
     if np.any(scale <= 0):
-        raise ValueError("SimilarityTransform: scale must be positive")
+        raise ValueError("similarity transform: scale must be positive")
     gram = np.matmul(np.swapaxes(rotation, -1, -2), rotation)
     if not np.allclose(gram, np.eye(3), atol=ORTHONORMAL_TOL):
-        raise ValueError("SimilarityTransform: rotation is not orthonormal")
+        raise ValueError("similarity transform: rotation is not orthonormal")
     if np.any(np.abs(np.linalg.det(rotation) - 1.0) > ORTHONORMAL_TOL):
-        raise ValueError("SimilarityTransform: rotation must have det +1")
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """x -> scale * R @ x + t with a proper rotation (det +1)."""
-
-    scale: float
-    rotation: np.ndarray     # (3, 3)
-    translation: np.ndarray  # (3,)
-
-    def validate(self) -> None:
-        _validate_similarity(self.scale, self.rotation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return self.scale * points @ self.rotation.T + self.translation
+        raise ValueError("similarity transform: rotation must have det +1")
 
 
 def _as_batch(points) -> np.ndarray:
@@ -92,14 +74,14 @@ def _kabsch_umeyama(pred, gt):
     """
     n = pred.shape[1]
     if n < 3:
-        raise ValueError("procrustes_align: need at least 3 points")
+        raise ValueError("Procrustes: need at least 3 points")
     mu_p = pred.mean(axis=1)
     mu_g = gt.mean(axis=1)
     p = pred - mu_p[:, None]
     g = gt - mu_g[:, None]
     var_p = (p ** 2).reshape(len(p), -1).sum(axis=1) / n
     if np.any(var_p < PROCRUSTES_EPS):
-        raise ValueError("procrustes_align: degenerate input, zero spread")
+        raise ValueError("Procrustes: degenerate input, zero spread")
     cov = np.matmul(np.swapaxes(g, 1, 2), p) / n
     u, d, vt = np.linalg.svd(cov)
     s = np.ones_like(d)
@@ -109,19 +91,6 @@ def _kabsch_umeyama(pred, gt):
     shift = np.matmul(scale[:, None, None] * rot, mu_p[:, :, None])[:, :, 0]
     _validate_similarity(scale, rot)
     return scale, rot, mu_g - shift
-
-
-def procrustes_align(pred, gt) -> SimilarityTransform:
-    """Least-squares similarity transform taking one (N, 3) ``pred`` onto
-    ``gt``: the one-pair view of the batched solver."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 3:
-        raise ValueError(f"expected matching (N, 3) arrays, got {pred.shape} "
-                         f"and {gt.shape}")
-    scale, rot, trans = _kabsch_umeyama(pred[None], gt[None])
-    return SimilarityTransform(scale=float(scale[0]), rotation=rot[0],
-                               translation=trans[0])
 
 
 def align_batch(pred, gt) -> np.ndarray:

@@ -75,25 +75,6 @@ class TubeBodySpec:
             if ln <= 0:
                 raise ValueError(f"TubeBodySpec: bone {name!r} length must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "bone_lengths": dict(self.bone_lengths),
-            "tube_radius": self.tube_radius,
-            "verts_per_ring": self.verts_per_ring,
-            "rings_per_bone": self.rings_per_bone,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TubeBodySpec":
-        known = {"bone_lengths", "tube_radius", "verts_per_ring", "rings_per_bone"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"TubeBodySpec: unknown keys {sorted(unknown)}")
-        spec = cls(**{k: d[k] for k in d})
-        spec.verts_per_ring = int(spec.verts_per_ring)
-        spec.rings_per_bone = int(spec.rings_per_bone)
-        return spec
-
 
 @dataclass
 class MeshTemplate:

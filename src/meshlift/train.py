@@ -245,7 +245,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     tc = cfg.train
     opt = RMSprop(posenet.named_parameters(), lr=tc.stage1_lr)
     tracker = _GradTracker(posenet.named_parameters())
-    synth = cfg.synth if cfg.synth_enabled else None
+    synth = cfg.synth if cfg.synth.enabled else None
     writer = _TraceWriter(out_dir, "trace_stage1.csv")
     n = len(samples)
     j = template.num_joints
@@ -307,7 +307,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
         named += [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
     opt = RMSprop(named, lr=tc.stage2_lr)
     tracker = _GradTracker(named)
-    synth = cfg.synth if cfg.synth_enabled else None
+    synth = cfg.synth if cfg.synth.enabled else None
     writer = _TraceWriter(out_dir, "trace_stage2.csv")
     n = len(samples)
     j = template.num_joints

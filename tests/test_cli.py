@@ -73,7 +73,7 @@ class TestGenData:
 
 class TestCoarsen:
     def test_prints_levels_and_doubling(self, workspace, capsys):
-        rc = main(["coarsen", "--config", str(workspace["cfg"]), "--inspect"])
+        rc = main(["coarsen", "--config", str(workspace["cfg"])])
         out = capsys.readouterr().out
         assert rc == 0
         assert "levels=2" in out

@@ -1,11 +1,16 @@
 """Config resolution: profiles, precedence, strictness, checkpoint checks."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from meshlift.config import (check_checkpoint_config, checkpoint_config,
-                             echo_config, load_config_file, resolve_config)
+from meshlift.config import (RunConfig, check_checkpoint_config,
+                             checkpoint_config, echo_config, from_dict,
+                             load_config_file, resolve_config, to_dict)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestProfiles:
@@ -89,7 +94,8 @@ class TestStrictness:
     def test_loss_weights_parse(self):
         cfg = resolve_config("desk", {"train": {"loss_weights": {"edge": 5.0}}})
         assert cfg.train.loss_weights.edge == 5.0
-        with pytest.raises(ValueError, match="unknown loss weight"):
+        with pytest.raises(ValueError, match=r"config\.train\.loss_weights: "
+                                             r"unknown keys \['edgy'\]"):
             resolve_config("desk", {"train": {"loss_weights": {"edgy": 5.0}}})
 
 
@@ -124,3 +130,43 @@ class TestFilesAndCheckpoints:
         other2 = resolve_config("desk", {"model": {"levels": 2}})
         with pytest.raises(ValueError, match="mismatch on 'levels'"):
             check_checkpoint_config(stored, other2)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("layer, path", [
+        ({"synth": {"enabled": "false"}}, "config.synth.enabled"),
+        ({"train": {"stage2_lr": float("nan")}}, "config.train.stage2_lr"),
+        ({"eval": {"taus": [float("nan")]}}, "config.eval.taus[0]"),
+        ({"template": {"tube_radius": float("inf")}},
+         "config.template.tube_radius"),
+        ({"template": {"verts_per_ring": 4.9}}, "config.template.verts_per_ring"),
+        ({"seed": 7.5}, "config.seed"),
+        ({"model": {"hidden": 3.7}}, "config.model.hidden"),
+        ({"model": {"levels": True}}, "config.model.levels"),
+        ({"model": {"level_widths": [64, "a"]}}, "config.model.level_widths[1]"),
+        ({"train": {"loss_weights": 5}}, "config.train.loss_weights"),
+    ])
+    def test_malformed_value_names_its_path(self, layer, path):
+        with pytest.raises(ValueError, match=re.escape(path + ": expected")):
+            resolve_config("desk", layer)
+
+    def test_json_forms_accepted(self):
+        cfg = resolve_config("desk", {"synth": {"enabled": False},
+                                      "train": {"decay_factor": 3},
+                                      "eval": {"joint_mask": [0, 2]}})
+        assert cfg.synth.enabled is False
+        assert cfg.train.decay_factor == 3  # a JSON int is kept as given
+        assert cfg.eval.joint_mask == (0, 2)
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_round_trip(self, profile):
+        cfg = resolve_config(profile)
+        assert from_dict(RunConfig, to_dict(cfg), "config") == cfg
+        assert from_dict(RunConfig, json.loads(json.dumps(to_dict(cfg))),
+                         "config") == cfg
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_echo_matches_golden_file(self, profile, tmp_path):
+        path = echo_config(resolve_config(profile), tmp_path)
+        golden = DATA / f"config_resolved_{profile}.json"
+        assert path.read_bytes() == golden.read_bytes()

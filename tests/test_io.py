@@ -26,6 +26,12 @@ class TestBodySpec:
         with pytest.raises(ValueError, match="unknown"):
             load_body_spec(p)
 
+    def test_non_finite_value_names_key(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"tube_radius": float("inf")}))
+        with pytest.raises(ValueError, match="template.tube_radius: expected"):
+            load_body_spec(p)
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text("{nope")
@@ -70,6 +76,18 @@ class TestDataset:
         p.write_text(json.dumps({"pose2d": [[0, 0]], "pose3d": [[0, 0, 0]],
                                  "velocity": 3}) + "\n")
         with pytest.raises(ValueError, match="unknown keys"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("field", ["pose2d", "pose3d", "mesh"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_names_line_and_field(self, tmp_path, field, bad):
+        rec = {"pose2d": [[0, 0], [1, 1]], "pose3d": [[0, 0, 0], [1, 1, 1]],
+               "mesh": [[0, 0, 0], [1, 1, 1]]}
+        p = tmp_path / "d.jsonl"
+        good = json.dumps(rec)
+        rec[field][1][0] = bad
+        p.write_text(good + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match=f":2: {field} has non-finite"):
             load_dataset(p)
 
     def test_inconsistent_joint_counts(self, tmp_path):

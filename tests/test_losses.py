@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshlift import tensor as T
+from meshlift.config import from_dict
 from meshlift.losses import (LossWeights, compute_mesh_losses, edge_loss,
                              joint_loss, normal_loss, pose_loss, total_mesh_loss,
                              vertex_loss)
@@ -140,8 +141,9 @@ class TestTotal:
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
             LossWeights(edge=-1.0)
-        with pytest.raises(ValueError, match="unknown loss weight"):
-            LossWeights.from_dict({"vortex": 1.0})
+        with pytest.raises(ValueError,
+                           match=r"loss_weights: unknown keys \['vortex'\]"):
+            from_dict(LossWeights, {"vortex": 1.0}, "loss_weights")
         with pytest.raises(ValueError, match="missing loss parts"):
             total_mesh_loss({"vertex": Tensor(np.array(1.0))}, LossWeights(), 1)
         parts = self.ones()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshlift.metrics import (NN_BLOCK_ROWS, SimilarityTransform, align_batch,
-                              f_score, f_scores, mpjpe, mpvpe, pa_mpjpe,
-                              procrustes_align)
+from meshlift.metrics import (NN_BLOCK_ROWS, _kabsch_umeyama,
+                              _validate_similarity, align_batch, f_score,
+                              f_scores, mpjpe, mpvpe, pa_mpjpe)
 from meshlift.template import euler_rotation
 
 
@@ -71,21 +71,21 @@ class TestProcrustes:
         t0 = np.array([10.0, -4.0, 7.0])
         pred = gt.copy()
         gt2 = 2.0 * gt @ r0.T + t0
-        tr = procrustes_align(pred, gt2)
-        assert tr.scale == pytest.approx(2.0, abs=1e-9)
-        np.testing.assert_allclose(tr.rotation, r0, atol=1e-9)
-        np.testing.assert_allclose(tr.translation, t0, atol=1e-7)
-        np.testing.assert_allclose(tr.apply(pred), gt2, atol=1e-7)
+        scale, rot, trans = _kabsch_umeyama(pred[None], gt2[None])
+        assert scale[0] == pytest.approx(2.0, abs=1e-9)
+        np.testing.assert_allclose(rot[0], r0, atol=1e-9)
+        np.testing.assert_allclose(trans[0], t0, atol=1e-7)
+        np.testing.assert_allclose(align_batch(pred, gt2)[0], gt2, atol=1e-7)
 
     def test_identity_at_equality_and_idempotent(self):
         rng = np.random.default_rng(3)
         gt = random_cloud(rng, n=1)[0]
         pred = similarity(gt, rng)
-        aligned = procrustes_align(pred, gt).apply(pred)
-        tr2 = procrustes_align(aligned, gt)
-        assert tr2.scale == pytest.approx(1.0, abs=1e-7)
-        np.testing.assert_allclose(tr2.rotation, np.eye(3), atol=1e-7)
-        np.testing.assert_allclose(tr2.translation, 0.0, atol=1e-6)
+        aligned = align_batch(pred, gt)
+        scale, rot, trans = _kabsch_umeyama(aligned, gt[None])
+        assert scale[0] == pytest.approx(1.0, abs=1e-7)
+        np.testing.assert_allclose(rot[0], np.eye(3), atol=1e-7)
+        np.testing.assert_allclose(trans[0], 0.0, atol=1e-6)
 
     def test_pa_mpjpe_vanishes_under_similarity(self):
         rng = np.random.default_rng(4)
@@ -98,20 +98,20 @@ class TestProcrustes:
         gt = random_cloud(rng, n=1)[0]
         pred = gt.copy()
         pred[:, 2] *= -1  # mirrored input
-        tr = procrustes_align(pred, gt)
-        assert np.linalg.det(tr.rotation) == pytest.approx(1.0, abs=1e-9)
+        _, rot, _ = _kabsch_umeyama(pred[None], gt[None])
+        assert np.linalg.det(rot[0]) == pytest.approx(1.0, abs=1e-9)
         # a reflection would align perfectly; a proper rotation cannot
-        assert mpjpe(tr.apply(pred), gt, root_index=None) > 1.0
+        assert mpjpe(align_batch(pred, gt), gt, root_index=None) > 1.0
 
     def test_validation(self):
         gt = np.zeros((4, 3))
         gt[:, 0] = [0, 1, 2, 3]
         with pytest.raises(ValueError, match="zero spread"):
-            procrustes_align(np.zeros((4, 3)), gt)
+            align_batch(np.zeros((4, 3)), gt)
         with pytest.raises(ValueError, match="at least 3"):
-            procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
+            align_batch(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="orthonormal"):
-            SimilarityTransform(1.0, np.eye(3) * 2, np.zeros(3)).validate()
+            _validate_similarity(np.ones(1), (np.eye(3) * 2)[None])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -233,7 +233,7 @@ class TestBatchedHelpers:
         pred = gt + rng.standard_normal(gt.shape) * 5
         batch = align_batch(pred, gt)
         for i in range(3):
-            one = procrustes_align(pred[i], gt[i]).apply(pred[i])
+            one = align_batch(pred[i:i + 1], gt[i:i + 1])[0]
             np.testing.assert_allclose(batch[i], one, rtol=0, atol=1e-12)
 
     def test_align_batch_rejects_one_degenerate_sample(self):
@@ -242,7 +242,7 @@ class TestBatchedHelpers:
         pred = gt + rng.standard_normal(gt.shape) * 5
         pred[2] = 7.0  # every point of one sample in one place: zero spread
         with pytest.raises(ValueError) as one:
-            procrustes_align(pred[2], gt[2])
+            align_batch(pred[2:3], gt[2:3])
         with pytest.raises(ValueError) as batch:
             align_batch(pred, gt)
         assert "zero spread" in str(one.value)

@@ -150,7 +150,7 @@ class TestErrorSynthesis:
         return np.random.default_rng(3).uniform(0, 500, (12, 2))
 
     def test_identity_config_returns_input(self):
-        cfg = D.ErrorSynthConfig(0.0, 0.0, 0.0)
+        cfg = D.ErrorSynthConfig(p_miss=0.0, p_swap=0.0, jitter_sigma_frac=0.0)
         out = D.synthesize_pose_errors(self.pose(), cfg, TP.SYMMETRY_PAIRS,
                                        np.random.default_rng(0))
         np.testing.assert_array_equal(out, self.pose())
@@ -191,7 +191,7 @@ class TestErrorSynthesis:
         assert abs(sigma - 0.1 * diag) / (0.1 * diag) < 0.15
 
     def test_seed_reproducible(self):
-        cfg = D.ErrorSynthConfig(0.3, 0.5, 0.05)
+        cfg = D.ErrorSynthConfig(p_miss=0.3, p_swap=0.5, jitter_sigma_frac=0.05)
         a = D.synthesize_pose_errors(self.pose(), cfg, TP.SYMMETRY_PAIRS,
                                      np.random.default_rng(42))
         b = D.synthesize_pose_errors(self.pose(), cfg, TP.SYMMETRY_PAIRS,
