@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import run_gradient_suite
 from .coarsen import graclus_coarsen
-from .config import echo_config, load_config_file, resolve_config, to_dict
+from .config import echo_config, load_config_file, resolve_config
 from .data import generate_synthetic_dataset
 from .evaluate import posenet_mpjpe, predict, report_lines, run_evaluation
 from .graphs import build_mesh_graph
@@ -48,7 +48,9 @@ def _resolve(args):
     if args.levels is not None:
         overrides.setdefault("model", {})["levels"] = args.levels
     if args.template:
-        overrides["template"] = to_dict(load_body_spec(args.template))
+        load_body_spec(args.template)  # type-checks the file, naming it in errors
+        # only the keys the file sets: the config file's other values stand
+        overrides["template"] = load_config_file(args.template)
     if args.input:
         overrides.setdefault("eval", {})["input"] = args.input
     if args.tau:
@@ -89,11 +91,12 @@ def cmd_coarsen(args) -> int:
                                 seed=cfg.seed)
     print(f"levels={hierarchy.num_levels} seed={cfg.seed} "
           f"original_vertices={template.num_vertices}")
-    for c in range(hierarchy.num_levels + 1):
-        g = hierarchy.levels[c]
+    for c, (g, lap) in enumerate(zip(hierarchy.levels, hierarchy.scaled_laplacians)):
         fake = int(g.is_fake().sum())
         print(f"level {c}: vertices={g.num_vertices} real={g.num_vertices - fake} "
-              f"fake={fake}")
+              f"fake={fake} lap_nnz={lap.table.nnz} d_max={g.d_max} "
+              f"lambda_max={lap.lambda_max:.6f} "
+              f"converged={str(lap.converged).lower()}")
     for c in range(hierarchy.num_levels):
         a = hierarchy.levels[c].num_vertices
         b = hierarchy.levels[c + 1].num_vertices

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from meshlift import tensor as T
-from meshlift.graphs import Graph, ScaledLaplacian, scaled_laplacian
+from meshlift.graphs import Graph, ScaledLaplacian, row_table, scaled_laplacian
 from meshlift.tensor import ShapeError, Tensor
 
 
@@ -49,37 +49,48 @@ class CoarseningHierarchy:
         return self.levels[c].num_vertices
 
 
-def _match_round(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One greedy matching pass; returns fine-vertex -> cluster-id map."""
-    n = weights.shape[0]
-    degrees = weights.sum(axis=1)
-    cluster = np.full(n, -1, dtype=np.int64)
+def _match_round(n: int, rows: np.ndarray, cols: np.ndarray,
+                 weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One greedy matching pass over a weighted edge list sorted by (row,
+    col), self-weights included; returns fine-vertex -> cluster-id map.
+
+    Neighbours are scanned in ascending index order and only a strictly
+    higher score replaces the best so far, so the lowest index wins ties.
+    Weights are integer counts, so the degree sums are exact.
+    """
+    degrees = np.bincount(rows, weights=weights, minlength=n)
+    inv = np.zeros(n)
+    np.divide(1.0, degrees, out=inv, where=degrees > 0)
+    scores = (weights * (inv[rows] + inv[cols])).tolist()
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).tolist()
+    nbrs = cols.tolist()
+    cluster = [-1] * n
     next_id = 0
-    for u in rng.permutation(n):
+    for u in rng.permutation(n).tolist():
         if cluster[u] >= 0:
             continue
         best_v = -1
         best_score = -np.inf
-        row = weights[u]
-        for v in np.flatnonzero(row):
-            if v == u or cluster[v] >= 0:
-                continue
-            score = row[v] * (1.0 / degrees[u] + 1.0 / degrees[v])
-            if score > best_score:
-                best_score = score
-                best_v = int(v)
+        for k in range(bounds[u], bounds[u + 1]):
+            v = nbrs[k]
+            if v != u and cluster[v] < 0 and scores[k] > best_score:
+                best_score = scores[k]
+                best_v = v
         cluster[u] = next_id
         if best_v >= 0:
             cluster[best_v] = next_id
         next_id += 1
-    return cluster
+    return np.asarray(cluster, dtype=np.int64)
 
 
-def _accumulate_weights(weights: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+def _accumulate_weights(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                        cluster: np.ndarray):
+    """Coarse edge list (m, rows, cols, weights), sorted by (row, col):
+    fine weights summed between clusters, intra-cluster mass on the
+    diagonal."""
     m = int(cluster.max()) + 1
-    assign = np.zeros((weights.shape[0], m))
-    assign[np.arange(weights.shape[0]), cluster] = 1.0
-    return assign.T @ weights @ assign
+    keys, inverse = np.unique(cluster[rows] * m + cluster[cols], return_inverse=True)
+    return m, keys // m, keys % m, np.bincount(inverse, weights=weights)
 
 
 def _tree_order(raw_parents: list[np.ndarray], n_coarsest: int) -> list[np.ndarray]:
@@ -100,13 +111,13 @@ def _tree_order(raw_parents: list[np.ndarray], n_coarsest: int) -> list[np.ndarr
     return orders
 
 
-def _reorder_adjacency(adj: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    size = ids.size
-    out = np.zeros((size, size))
+def _reorder(rows: np.ndarray, cols: np.ndarray, ids: np.ndarray) -> Graph:
+    """Level graph in slot order: adjacency entries (rows, cols) between
+    pre-padding ids, moved to the slots that ids lists them at."""
     real = np.flatnonzero(ids >= 0)
-    src = ids[real]
-    out[np.ix_(real, real)] = adj[np.ix_(src, src)]
-    return out
+    slot = np.empty(real.size, dtype=np.int64)
+    slot[ids[real]] = real
+    return Graph(row_table(ids.size, slot[rows], slot[cols], np.ones(rows.size)))
 
 
 def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy:
@@ -127,44 +138,41 @@ def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy
             f"past a single vertex (cap {cap})")
 
     rng = np.random.default_rng(seed)
-    weights = g.adjacency.copy()  # initial edge weights are all 1
-    adjacencies = [g.adjacency.copy()]
+    n = n0
+    rows, k = np.nonzero(g.neighbors >= 0)
+    cols, weights = g.neighbors[rows, k], g.weights[rows, k]
+    entries = [(rows, cols)]  # adjacency entries per level, pre-padding ids
+    sizes = [n0]
     raw_parents: list[np.ndarray] = []
     for _ in range(levels):
-        cluster = _match_round(weights, rng)
+        cluster = _match_round(n, rows, cols, weights, rng)
         raw_parents.append(cluster)
-        weights = _accumulate_weights(weights, cluster)
-        coarse_adj = (weights > 0).astype(np.float64)
-        np.fill_diagonal(coarse_adj, 1.0)
-        adjacencies.append(coarse_adj)
+        n, rows, cols, weights = _accumulate_weights(rows, cols, weights, cluster)
+        # every coarse vertex is real, even a cluster of fake vertices
+        loops = np.arange(n, dtype=np.int64)
+        keys = np.union1d(rows * n + cols, loops * n + loops)
+        entries.append((keys // n, keys % n))
+        sizes.append(n)
 
-    n_coarsest = adjacencies[-1].shape[0]
-    if n_coarsest < 1:
-        raise ValueError("graclus_coarsen: coarsest level has no vertices")
-    tree_ids = _tree_order(raw_parents, n_coarsest)
-
-    graphs = [Graph(_reorder_adjacency(adj, ids))
-              for adj, ids in zip(adjacencies, tree_ids)]
+    tree_ids = _tree_order(raw_parents, sizes[-1])
+    graphs = [_reorder(r, c, ids) for (r, c), ids in zip(entries, tree_ids)]
     laplacians = [scaled_laplacian(lg, seed=seed) for lg in graphs]
 
     perm = np.full(n0, -1, dtype=np.int64)
-    finest = tree_ids[0]
-    for slot, vid in enumerate(finest):
-        if vid >= 0:
-            perm[vid] = slot
+    real = np.flatnonzero(tree_ids[0] >= 0)
+    perm[tree_ids[0][real]] = real
     if np.any(perm < 0):
         missing = int(np.flatnonzero(perm < 0)[0])
         raise RuntimeError(f"graclus_coarsen: vertex {missing} lost during reordering")
 
-    num_real = [adj.shape[0] for adj in adjacencies]
-    num_fake = [ids.size - nr for ids, nr in zip(tree_ids, num_real)]
+    num_fake = [ids.size - nr for ids, nr in zip(tree_ids, sizes)]
     return CoarseningHierarchy(
         levels=graphs,
         scaled_laplacians=laplacians,
         perm=perm,
         tree_ids=tree_ids,
         raw_parents=raw_parents,
-        num_real=num_real,
+        num_real=sizes,
         num_fake=num_fake,
         seed=seed,
     )

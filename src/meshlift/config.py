@@ -203,10 +203,14 @@ def _merge(base: dict, override: dict) -> dict:
 
 def resolve_config(profile: str = "desk", file_dict: dict | None = None,
                    overrides: dict | None = None) -> RunConfig:
-    """Layer profile, config file, and CLI overrides over the defaults."""
+    """Layer profile, config file, and CLI overrides over the defaults.
+
+    Objects merge key by key at every depth, so a layer that sets one bone
+    length keeps the other bones of the layers below it.
+    """
     if profile not in PROFILES:
         raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
-    raw: dict = {"profile": profile}
+    raw = to_dict(RunConfig(profile=profile))
     if profile == "desk":
         raw = _merge(raw, DESK_OVERRIDES)
     for layer in (file_dict, overrides):

@@ -1,8 +1,11 @@
 """Vertex graphs, normalized Laplacians, and Chebyshev spectral filtering.
 
-Graph structure and Laplacian matrices are kept in float64 as the single
-source of truth; the convolution casts the scaled Laplacian to the feature
-dtype on demand (cached), so float32 training and float64 oracle runs share
+Graphs and Laplacians are stored as padded row tables (RowTable): no row
+of a mesh Laplacian has more than a dozen non-zeros, so building,
+coarsening and the lambda_max power iteration cost O(V * d_max), not
+O(V^2). Table values are float64, the single source of truth; the
+convolution builds the dense scaled Laplacian in the feature dtype on
+first use (cached), so float32 training and float64 oracle runs share
 one graph object.
 """
 
@@ -20,43 +23,130 @@ POWER_ITER_TOL = 1e-9
 LAMBDA_MAX_FALLBACK = 2.0
 
 
-class Graph:
-    """Undirected vertex graph as a dense 0/1 adjacency matrix.
+class RowTable(NamedTuple):
+    """Square matrix stored by rows, padded to the widest row.
 
-    Real vertices carry a self-loop (A[i, i] = 1); fake vertices (padding
-    slots from coarsening) have all-zero rows. The matrix must be square,
-    symmetric, and 0/1-valued.
+    Row i holds values[i, k] at column cols[i, k], columns ascending; a
+    -1 column is padding and carries the value 0.
     """
 
-    def __init__(self, adjacency: np.ndarray):
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"Graph: adjacency must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("Graph: adjacency must be symmetric")
-        if not np.all((a == 0) | (a == 1)):
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return self.cols.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a finite x: padding reads x[-1] and multiplies it by 0."""
+        return np.einsum("ij,ij->i", self.values, x[self.cols])
+
+    def to_dense(self, dtype=np.float64) -> np.ndarray:
+        n = self.num_rows
+        out = np.zeros((n, n), dtype=dtype)
+        rows, k = np.nonzero(self.cols >= 0)
+        out[rows, self.cols[rows, k]] = self.values[rows, k]
+        return out
+
+
+def row_table(num_rows: int, rows, cols, values) -> RowTable:
+    """Pack (row, col, value) entries, in any order, into a RowTable."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or max(rows.max(), cols.max()) >= num_rows):
+        raise ValueError(f"row_table: entry outside a {num_rows}x{num_rows} matrix")
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+        raise ValueError("row_table: repeated (row, col) entry")
+    counts = np.bincount(rows, minlength=num_rows)
+    width = max(1, int(counts.max(initial=0)))
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    table_cols = np.full((num_rows, width), -1, dtype=np.int64)
+    table_values = np.zeros((num_rows, width))
+    table_cols[rows, slot] = cols
+    table_values[rows, slot] = values
+    return RowTable(table_cols, table_values)
+
+
+class Graph:
+    """Undirected 0/1 vertex graph as a padded neighbour table.
+
+    Row i of the table lists i's neighbours in ascending order, i itself
+    included (self-loop), each with weight 1, padded with -1 up to d_max
+    entries. Fake vertices (padding slots from coarsening) have no
+    entries. The table must be symmetric.
+    """
+
+    def __init__(self, table: RowTable):
+        nbr, w = table
+        if nbr.ndim != 2 or w.shape != nbr.shape:
+            raise ValueError(f"Graph: neighbour table must be (V, d_max), got "
+                             f"{nbr.shape} and {w.shape}")
+        n = nbr.shape[0]
+        entry = nbr >= 0
+        if np.any(nbr < -1) or np.any(nbr >= n):
+            raise ValueError(f"Graph: neighbour index outside 0..{n - 1}")
+        if np.any(entry[:, 1:] & ~(entry[:, :-1] & (nbr[:, 1:] > nbr[:, :-1]))):
+            raise ValueError("Graph: neighbour rows must be strictly ascending, "
+                             "padding last")
+        if np.any(w != entry):
             raise ValueError("Graph: adjacency entries must be 0 or 1")
-        degrees = a.sum(axis=1)
-        bad = (degrees > 0) & (np.diag(a) == 0)
+        rows, k = np.nonzero(entry)
+        cols = nbr[rows, k]
+        if not np.array_equal(np.sort(cols * n + rows), rows * n + cols):
+            raise ValueError("Graph: adjacency must be symmetric")
+        bad = entry.any(axis=1) & ~(nbr == np.arange(n)[:, None]).any(axis=1)
         if np.any(bad):
             v = int(np.flatnonzero(bad)[0])
             raise ValueError(f"Graph: real vertex {v} is missing its self-loop")
-        self.adjacency = a
+        self.table = table
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self.table.cols
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.table.values
 
     @property
     def num_vertices(self) -> int:
-        return self.adjacency.shape[0]
+        return self.neighbors.shape[0]
+
+    @property
+    def d_max(self) -> int:
+        return int(np.count_nonzero(self.neighbors >= 0, axis=1).max(initial=0))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return self.weights.sum(axis=1)
 
     def is_fake(self) -> np.ndarray:
         """Boolean mask of degree-0 (padding) vertices."""
         return self.degrees == 0
 
     def __repr__(self) -> str:
-        return f"Graph(num_vertices={self.num_vertices}, edges={int(self.adjacency.sum() - np.trace(self.adjacency)) // 2})"
+        entries = int(np.count_nonzero(self.neighbors >= 0))
+        edges = (entries - int(np.count_nonzero(~self.is_fake()))) // 2
+        return f"Graph(num_vertices={self.num_vertices}, edges={edges})"
+
+
+def _undirected_graph(num_vertices: int, i, j) -> Graph:
+    """Edges (i, j) in both directions plus a self-loop on every vertex;
+    an edge listed more than once counts once."""
+    loops = np.arange(num_vertices, dtype=np.int64)
+    rows = np.concatenate([np.asarray(i, np.int64), np.asarray(j, np.int64), loops])
+    cols = np.concatenate([np.asarray(j, np.int64), np.asarray(i, np.int64), loops])
+    keys = np.unique(rows * num_vertices + cols)
+    return Graph(row_table(num_vertices, keys // num_vertices,
+                           keys % num_vertices, np.ones(keys.size)))
 
 
 def build_pose_graph(num_joints: int, skeleton_edges: Sequence[tuple[int, int]],
@@ -64,14 +154,13 @@ def build_pose_graph(num_joints: int, skeleton_edges: Sequence[tuple[int, int]],
     """Joint graph: skeleton edges plus left/right symmetry edges plus self-loops."""
     if num_joints < 1:
         raise ValueError("build_pose_graph: need at least one joint")
-    a = np.eye(num_joints)
-    for i, j in list(skeleton_edges) + list(symmetry_pairs):
+    edges = list(skeleton_edges) + list(symmetry_pairs)
+    for i, j in edges:
         if not (0 <= i < num_joints and 0 <= j < num_joints):
             raise ValueError(f"build_pose_graph: edge ({i}, {j}) out of range")
         if i == j:
             raise ValueError(f"build_pose_graph: self edge ({i}, {j})")
-        a[i, j] = a[j, i] = 1.0
-    return Graph(a)
+    return _undirected_graph(num_joints, [i for i, _ in edges], [j for _, j in edges])
 
 
 def mesh_graph_from_faces(num_vertices: int, faces: np.ndarray) -> Graph:
@@ -81,15 +170,13 @@ def mesh_graph_from_faces(num_vertices: int, faces: np.ndarray) -> Graph:
         raise ValueError(f"mesh_graph_from_faces: faces must be (F, 3), got {faces.shape}")
     if faces.size and (faces.min() < 0 or faces.max() >= num_vertices):
         raise ValueError("mesh_graph_from_faces: face references vertex out of range")
-    for f in faces:
-        if len(set(int(v) for v in f)) != 3:
-            raise ValueError(f"mesh_graph_from_faces: degenerate face {tuple(int(v) for v in f)}")
-    a = np.eye(num_vertices)
-    for i, j, k in faces:
-        a[i, j] = a[j, i] = 1.0
-        a[j, k] = a[k, j] = 1.0
-        a[i, k] = a[k, i] = 1.0
-    return Graph(a)
+    i, j, k = faces.T
+    degenerate = np.flatnonzero((i == j) | (j == k) | (i == k))
+    if degenerate.size:
+        f = faces[degenerate[0]]
+        raise ValueError(f"mesh_graph_from_faces: degenerate face {tuple(int(v) for v in f)}")
+    return _undirected_graph(num_vertices, np.concatenate([i, j, i]),
+                             np.concatenate([j, k, k]))
 
 
 def build_mesh_graph(template) -> Graph:
@@ -97,18 +184,27 @@ def build_mesh_graph(template) -> Graph:
     return mesh_graph_from_faces(len(template.vertices), template.faces)
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """L = I - D^{-1/2} A D^{-1/2}, float64.
+def _diagonal(cols: np.ndarray) -> np.ndarray:
+    """1.0 where a row table's entry sits on the diagonal, else 0.0."""
+    return (cols == np.arange(cols.shape[0])[:, None]).astype(np.float64)
+
+
+def normalized_laplacian(g: Graph) -> RowTable:
+    """L = I - D^{-1/2} A D^{-1/2}, float64, on the graph's neighbour table.
 
     Degree-0 (fake) vertices get the identity row e_i, so they stay inert
     under filtering and the spectrum stays inside [0, 2].
     """
-    a = g.adjacency
-    d = a.sum(axis=1)
+    nbr, w = g.table
+    d = g.degrees
     inv_sqrt = np.zeros_like(d)
     np.divide(1.0, np.sqrt(d), out=inv_sqrt, where=d > 0)
-    lap = np.eye(g.num_vertices) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
-    return lap
+    fake = np.flatnonzero(d == 0)
+    cols = nbr.copy()
+    cols[fake, 0] = fake
+    # same expression, entry by entry, as the dense eye - (s A) s^T
+    values = _diagonal(cols) - (inv_sqrt[:, None] * w) * inv_sqrt[cols]
+    return RowTable(cols, values)
 
 
 class LambdaMaxEstimate(NamedTuple):
@@ -116,26 +212,28 @@ class LambdaMaxEstimate(NamedTuple):
     converged: bool
 
 
-def estimate_lambda_max(lap: np.ndarray, seed: int = 0) -> LambdaMaxEstimate:
+def estimate_lambda_max(lap: RowTable, seed: int = 0) -> LambdaMaxEstimate:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     Seeded start vector, Rayleigh-quotient convergence below 1e-9, at most
-    200 iterations. On non-convergence returns the safe upper bound 2.0
-    (valid for normalized Laplacians) with converged=False.
+    200 iterations, one sparse matvec each: the product that gives the
+    Rayleigh quotient is the next iteration's. On non-convergence returns
+    the safe upper bound 2.0 (valid for normalized Laplacians) with
+    converged=False.
     """
-    lap = np.asarray(lap, dtype=np.float64)
-    n = lap.shape[0]
+    n = lap.num_rows
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    w = lap.matvec(v)
     prev = np.inf
     for _ in range(POWER_ITER_MAX):
-        w = lap @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return LambdaMaxEstimate(0.0, True)  # lap annihilates v: lambda_max 0
         v = w / nw
-        rayleigh = float(v @ (lap @ v))
+        w = lap.matvec(v)
+        rayleigh = float(v @ w)
         if abs(rayleigh - prev) < POWER_ITER_TOL:
             return LambdaMaxEstimate(rayleigh, True)
         prev = rayleigh
@@ -143,22 +241,26 @@ def estimate_lambda_max(lap: np.ndarray, seed: int = 0) -> LambdaMaxEstimate:
 
 
 class ScaledLaplacian:
-    """L_tilde = 2 L / lambda_max - I, spectrum mapped into [-1, 1]."""
+    """L_tilde = 2 L / lambda_max - I, spectrum mapped into [-1, 1].
 
-    def __init__(self, matrix: np.ndarray, lambda_max: float, converged: bool = True):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+    Stored as a RowTable; as_tensor builds the dense convolution operand
+    once per dtype.
+    """
+
+    def __init__(self, table: RowTable, lambda_max: float, converged: bool = True):
+        self.table = table
         self.lambda_max = float(lambda_max)
         self.converged = bool(converged)
         self._cache: dict = {}
 
     @property
     def num_vertices(self) -> int:
-        return self.matrix.shape[0]
+        return self.table.num_rows
 
     def as_tensor(self, dtype) -> Tensor:
         key = np.dtype(dtype)
         if key not in self._cache:
-            self._cache[key] = Tensor(self.matrix, dtype=key)
+            self._cache[key] = Tensor(self.table.to_dense(key), dtype=key)
         return self._cache[key]
 
 
@@ -166,8 +268,8 @@ def scaled_laplacian(g: Graph, seed: int = 0) -> ScaledLaplacian:
     lap = normalized_laplacian(g)
     est = estimate_lambda_max(lap, seed=seed)
     lam = est.value if est.value > 1e-9 else LAMBDA_MAX_FALLBACK
-    scaled = (2.0 / lam) * lap - np.eye(g.num_vertices)
-    return ScaledLaplacian(scaled, lam, est.converged)
+    values = (2.0 / lam) * lap.values - _diagonal(lap.cols)
+    return ScaledLaplacian(RowTable(lap.cols, values), lam, est.converged)
 
 
 class ChebFilter:
@@ -203,7 +305,7 @@ def chebyshev_conv(f_in: Tensor, lap: ScaledLaplacian, filt: ChebFilter,
         raise ShapeError("chebyshev_conv", f_in.shape)
     v, cols = f_in.shape
     if v != lap.num_vertices:
-        raise ShapeError("chebyshev_conv", f_in.shape, lap.matrix.shape)
+        raise ShapeError("chebyshev_conv", f_in.shape, (v, v))
     if cols != batch * filt.f_in:
         raise ShapeError("chebyshev_conv", f_in.shape, (filt.f_in, filt.f_out))
     lt = lap.as_tensor(f_in.dtype)
@@ -228,28 +330,3 @@ def chebyshev_conv(f_in: Tensor, lap: ScaledLaplacian, filt: ChebFilter,
         t_prev, t_cur = t_cur, t_next
     return out
 
-
-def dense_spectral_oracle(x: np.ndarray, lap: ScaledLaplacian,
-                          theta: Sequence[float]) -> np.ndarray:
-    """Reference filtering U diag(sum_k theta_k T_k(lambda)) U^T x.
-
-    Single-channel, float64, by explicit eigendecomposition; exists purely
-    to cross-check chebyshev_conv through an independent route.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != lap.num_vertices:
-        raise ValueError(f"dense_spectral_oracle: x must be ({lap.num_vertices},), got {x.shape}")
-    theta = [float(t) for t in theta]
-    if not theta:
-        raise ValueError("dense_spectral_oracle: empty filter")
-    lam, u = np.linalg.eigh(lap.matrix)
-    t_prev = np.ones_like(lam)
-    gain = theta[0] * t_prev
-    if len(theta) > 1:
-        t_cur = lam.copy()
-        gain = gain + theta[1] * t_cur
-        for k in range(2, len(theta)):
-            t_next = 2.0 * lam * t_cur - t_prev
-            gain = gain + theta[k] * t_next
-            t_prev, t_cur = t_cur, t_next
-    return u @ (gain * (u.T @ x))

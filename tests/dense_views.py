@@ -1,0 +1,66 @@
+"""Dense views of the sparse graph types, and the dense spectral oracle.
+
+The library keeps graphs and Laplacians as padded row tables and builds a
+dense matrix only as the convolution operand. Tests read and write small
+graphs as dense matrices through these helpers.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from meshlift import graphs as G
+
+
+def table_from_dense(m) -> G.RowTable:
+    """RowTable holding the non-zero entries of a square matrix."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"table_from_dense: matrix must be square, got {m.shape}")
+    rows, cols = np.nonzero(m)
+    return G.row_table(m.shape[0], rows, cols, m[rows, cols])
+
+
+def graph_from_dense(a) -> G.Graph:
+    """Graph from a dense adjacency matrix; Graph validates it."""
+    return G.Graph(table_from_dense(a))
+
+
+def dense(x) -> np.ndarray:
+    """Float64 matrix of a Graph (its adjacency), RowTable or ScaledLaplacian."""
+    if isinstance(x, (G.Graph, G.ScaledLaplacian)):
+        x = x.table
+    return x.to_dense(np.float64)
+
+
+def edge_list(g: G.Graph) -> np.ndarray:
+    """(row, col) adjacency entries, self-loops included, sorted, int64."""
+    rows, k = np.nonzero(g.neighbors >= 0)
+    pairs = np.stack([rows, g.neighbors[rows, k]], axis=1).astype(np.int64)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def dense_spectral_oracle(x: np.ndarray, lap: G.ScaledLaplacian,
+                          theta: Sequence[float]) -> np.ndarray:
+    """Reference filtering U diag(sum_k theta_k T_k(lambda)) U^T x.
+
+    Single-channel, float64, by explicit eigendecomposition; exists purely
+    to cross-check chebyshev_conv through an independent route.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size != lap.num_vertices:
+        raise ValueError(f"dense_spectral_oracle: x must be ({lap.num_vertices},), got {x.shape}")
+    theta = [float(t) for t in theta]
+    if not theta:
+        raise ValueError("dense_spectral_oracle: empty filter")
+    lam, u = np.linalg.eigh(dense(lap))
+    t_prev = np.ones_like(lam)
+    gain = theta[0] * t_prev
+    if len(theta) > 1:
+        t_cur = lam.copy()
+        gain = gain + theta[1] * t_cur
+        for k in range(2, len(theta)):
+            t_next = 2.0 * lam * t_cur - t_prev
+            gain = gain + theta[k] * t_next
+            t_prev, t_cur = t_cur, t_next
+    return u @ (gain * (u.T @ x))

@@ -2,9 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from meshlift.cli import main
+from meshlift.coarsen import graclus_coarsen
+from meshlift.config import resolve_config
+from meshlift.graphs import build_mesh_graph
+from meshlift.template import build_tube_body
+
+from dense_views import dense
 
 TINY = {
     "template": {"verts_per_ring": 3, "rings_per_bone": 2},
@@ -70,6 +77,22 @@ class TestGenData:
         echoed = json.loads((out / "config.resolved.json").read_text())
         assert echoed["seed"] == 99
 
+    def test_template_file_overrides_only_its_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "template": {**TINY["template"],
+                                                       "tube_radius": 25.0}}))
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"verts_per_ring": 5}))
+        out = tmp_path / "layered"
+        rc = main(["gen-data", "--config", str(cfg), "--template", str(spec),
+                   "--out", str(out), "--count", "1"])
+        assert rc == 0
+        capsys.readouterr()
+        echoed = json.loads((out / "config.resolved.json").read_text())["template"]
+        assert echoed["tube_radius"] == 25.0
+        assert echoed["verts_per_ring"] == 5
+        assert echoed["rings_per_bone"] == 2
+
 
 class TestCoarsen:
     def test_prints_levels_and_doubling(self, workspace, capsys):
@@ -86,6 +109,29 @@ class TestCoarsen:
         out = capsys.readouterr().out
         assert rc == 0
         assert "levels=3" in out
+
+
+    def test_prints_hierarchy_table(self, workspace, capsys):
+        rc = main(["coarsen", "--config", str(workspace["cfg"]), "--seed", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = [dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
+                for line in out.splitlines() if line.startswith("level ")]
+        cfg = resolve_config("desk", TINY, {"seed": 3})
+        h = graclus_coarsen(build_mesh_graph(build_tube_body(cfg.template)),
+                            cfg.model.levels, seed=3)
+        assert len(rows) == h.num_levels + 1
+        for c, row in enumerate(rows):
+            lap = h.scaled_laplacians[c]
+            adjacency = dense(h.levels[c])
+            assert int(row["vertices"]) == h.level_size(c)
+            assert (int(row["real"]), int(row["fake"])) == (h.num_real[c], h.num_fake[c])
+            assert int(row["lap_nnz"]) == np.count_nonzero(dense(lap))
+            assert int(row["d_max"]) == np.count_nonzero(adjacency, axis=1).max()
+            assert float(row["lambda_max"]) == pytest.approx(lap.lambda_max, abs=1e-6)
+            assert row["converged"] == str(lap.converged).lower()
+            if not lap.converged:
+                assert row["lambda_max"] == "2.000000"
 
 
 class TestGradcheck:

@@ -1,24 +1,35 @@
-"""Coarsening hierarchy: structural invariants, determinism, upsampling."""
+"""Coarsening hierarchy: structural invariants, determinism, upsampling,
+the recorded hierarchy, and bounded memory."""
+
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshlift import coarsen as C
 from meshlift import tensor as T
-from meshlift.graphs import Graph
+from meshlift.graphs import build_mesh_graph, build_pose_graph, scaled_laplacian
+from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tensor
+
+from dense_views import dense, edge_list, graph_from_dense
+
+GOLDEN = Path(__file__).parent / "data" / "hierarchy_golden.json"
 
 
 def path_graph(n):
     a = np.eye(n)
     for i in range(n - 1):
         a[i, i + 1] = a[i + 1, i] = 1.0
-    return Graph(a)
+    return graph_from_dense(a)
 
 
 def triangle_graph():
     a = np.ones((3, 3))
-    return Graph(a)
+    return graph_from_dense(a)
 
 
 def random_mesh_like_graph(n, seed, extra=2.0):
@@ -33,7 +44,7 @@ def random_mesh_like_graph(n, seed, extra=2.0):
         i, j = rng.integers(0, n, 2)
         if i != j:
             a[i, j] = a[j, i] = 1.0
-    return Graph(a)
+    return graph_from_dense(a)
 
 
 def check_invariants(g, h):
@@ -73,17 +84,17 @@ def check_invariants(g, h):
     # connectivity preservation: adjacent fine vertices have adjacent-or-equal
     # parent clusters
     for c in range(c_levels):
-        fine = h.levels[c].adjacency
-        coarse = h.levels[c + 1].adjacency
+        fine = dense(h.levels[c])
+        coarse = dense(h.levels[c + 1])
         n = fine.shape[0]
         for i in range(n):
             for j in np.flatnonzero(fine[i]):
                 pi, pj = i // 2, j // 2
                 assert pi == pj or coarse[pi, pj] == 1, (c, i, j)
     # level 0 edges equal the original graph's edges, relabeled by perm
-    a0 = h.levels[0].adjacency
+    a0 = dense(h.levels[0])
     recovered = a0[np.ix_(h.perm, h.perm)]
-    np.testing.assert_array_equal(recovered, g.adjacency)
+    np.testing.assert_array_equal(recovered, dense(g))
 
 
 class TestHandExamples:
@@ -101,7 +112,7 @@ class TestHandExamples:
         check_invariants(triangle_graph(), h)
 
     def test_single_vertex(self):
-        g = Graph(np.array([[1.0]]))
+        g = graph_from_dense(np.array([[1.0]]))
         h = C.graclus_coarsen(g, levels=1, seed=0)
         assert h.level_size(1) == 1 and h.level_size(0) == 2
         assert h.num_fake[0] == 1
@@ -129,7 +140,7 @@ class TestInvariantsOnRandomGraphs:
         h2 = C.graclus_coarsen(g, levels=3, seed=11)
         np.testing.assert_array_equal(h1.perm, h2.perm)
         for a, b in zip(h1.levels, h2.levels):
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
+            np.testing.assert_array_equal(dense(a), dense(b))
 
     def test_different_seeds_usually_differ(self):
         g = random_mesh_like_graph(40, seed=3)
@@ -142,7 +153,7 @@ class TestInvariantsOnRandomGraphs:
         a[0, 1] = a[1, 0] = 1.0
         a[2, 3] = a[3, 2] = 1.0
         # vertices 4, 5 isolated (self-loop only)
-        g = Graph(a)
+        g = graph_from_dense(a)
         h = C.graclus_coarsen(g, levels=1, seed=0)
         check_invariants(g, h)
 
@@ -201,3 +212,54 @@ class TestUpsampleAndPerm:
         fake = h.tree_ids[0] < 0
         assert np.all(tree.grad[fake] == 0)
         assert np.all(tree.grad[~fake] == 1)
+
+
+def digest(arr):
+    """sha256 of an array's dtype, shape and bytes."""
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def tube_body(ring):
+    return build_tube_body(TubeBodySpec(verts_per_ring=ring, rings_per_bone=ring))
+
+
+class TestRecordedHierarchy:
+    """Same seed, same hierarchy as the dense implementation recorded in
+    GOLDEN: structure and float32 operands exactly, lambda_max to 1e-12
+    relative (the sparse power iteration sums in a different order)."""
+
+    @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text())["cases"],
+                             ids=lambda c: f"ring{c['ring']}-seed{c['seed']}")
+    def test_matches_record(self, case):
+        t = tube_body(case["ring"])
+        assert t.num_vertices == case["num_vertices"]
+        h = C.graclus_coarsen(build_mesh_graph(t), case["levels"], seed=case["seed"])
+        pose = build_pose_graph(t.num_joints, t.skeleton_edges, t.symmetry_pairs)
+        laps = h.scaled_laplacians + [scaled_laplacian(pose, seed=case["seed"])]
+        assert digest(h.perm) == case["perm"]
+        assert [digest(a) for a in h.tree_ids] == case["tree_ids"]
+        assert [digest(a) for a in h.raw_parents] == case["raw_parents"]
+        assert [digest(edge_list(g)) for g in h.levels] == case["edges"]
+        assert [sl.converged for sl in laps] == case["converged"]
+        np.testing.assert_allclose([sl.lambda_max for sl in laps],
+                                   case["lambda_max"], rtol=1e-12, atol=0)
+        assert ([digest(sl.as_tensor(np.float32).data) for sl in laps]
+                == case["operand_f32"])
+
+
+class TestMemory:
+    def test_graph_and_coarsening_peak_at_3564_vertices(self):
+        # the dense implementation peaked at about 868 MB here
+        t = tube_body(18)
+        assert t.num_vertices == 3564
+        tracemalloc.start()
+        try:
+            h = C.graclus_coarsen(build_mesh_graph(t), 3, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.level_size(0) >= t.num_vertices
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"

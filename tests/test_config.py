@@ -64,6 +64,15 @@ class TestPrecedence:
         assert cfg.train.stage1_epochs == 50
         assert cfg.train.batch_size == 32
 
+    def test_partial_dict_override_merges_over_defaults(self):
+        default = RunConfig().template.bone_lengths
+        cfg = resolve_config("desk", {"template": {"bone_lengths": {"neck": 90.0}}},
+                             {"template": {"bone_lengths": {"spine": 200.0}}})
+        assert cfg.template.bone_lengths == {**default, "neck": 90.0, "spine": 200.0}
+        assert list(cfg.template.bone_lengths) == list(default)
+        with pytest.raises(ValueError, match="unknown bone 'tail'"):
+            resolve_config("desk", overrides={"template": {"bone_lengths": {"tail": 1.0}}})
+
 
 class TestStrictness:
     def test_unknown_top_level_key(self):

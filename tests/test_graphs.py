@@ -9,6 +9,9 @@ from meshlift import graphs as G
 from meshlift import tensor as T
 from meshlift.tensor import Tape, Tensor
 
+from dense_views import (dense, dense_spectral_oracle, graph_from_dense,
+                         table_from_dense)
+
 
 def random_graph(n, seed, p=0.4, fakes=0):
     """Random symmetric 0/1 adjacency with self-loops; optional fake rows."""
@@ -22,7 +25,7 @@ def random_graph(n, seed, p=0.4, fakes=0):
     for v in range(n - fakes, n):
         a[v, :] = 0.0
         a[:, v] = 0.0
-    return G.Graph(a)
+    return graph_from_dense(a)
 
 
 def hop_distances(adj, src):
@@ -47,25 +50,25 @@ def hop_distances(adj, src):
 class TestGraphType:
     def test_single_joint(self):
         g = G.build_pose_graph(1, [])
-        np.testing.assert_array_equal(g.adjacency, [[1.0]])
+        np.testing.assert_array_equal(dense(g), [[1.0]])
 
     def test_pose_graph_edges_and_symmetry(self):
         g = G.build_pose_graph(4, [(0, 1), (1, 2)], [(2, 3)])
-        a = g.adjacency
+        a = dense(g)
         assert a[0, 1] == a[1, 0] == 1 and a[1, 2] == 1 and a[2, 3] == 1
         assert a[0, 2] == 0
         np.testing.assert_array_equal(np.diag(a), np.ones(4))
 
     def test_rejects_asymmetric_and_non_binary(self):
         with pytest.raises(ValueError, match="symmetric"):
-            G.Graph(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            graph_from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="0 or 1"):
-            G.Graph(np.array([[1.0, 0.5], [0.5, 1.0]]))
+            graph_from_dense(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
     def test_rejects_missing_self_loop(self):
         a = np.array([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="self-loop"):
-            G.Graph(a)
+            graph_from_dense(a)
 
     def test_fake_rows_allowed(self):
         g = random_graph(5, seed=0, fakes=2)
@@ -74,7 +77,7 @@ class TestGraphType:
     def test_mesh_graph_from_faces(self):
         faces = np.array([[0, 1, 2], [1, 2, 3]])
         g = G.mesh_graph_from_faces(4, faces)
-        a = g.adjacency
+        a = dense(g)
         assert a[0, 1] == a[1, 2] == a[2, 3] == 1 and a[0, 3] == 0
 
     def test_mesh_graph_rejects_degenerate_face(self):
@@ -88,13 +91,13 @@ class TestGraphType:
 
 class TestLaplacian:
     def test_two_vertex_hand_value(self):
-        g = G.Graph(np.ones((2, 2)))
-        lap = G.normalized_laplacian(g)
+        g = graph_from_dense(np.ones((2, 2)))
+        lap = dense(G.normalized_laplacian(g))
         np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_fake_vertex_row_is_identity(self):
         g = random_graph(6, seed=1, fakes=2)
-        lap = G.normalized_laplacian(g)
+        lap = dense(G.normalized_laplacian(g))
         np.testing.assert_array_equal(lap[4], np.eye(6)[4])
         np.testing.assert_array_equal(lap[5], np.eye(6)[5])
 
@@ -102,22 +105,63 @@ class TestLaplacian:
     @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(0, 2))
     def test_spectrum_in_0_2(self, seed, n, fakes):
         g = random_graph(n, seed=seed, fakes=min(fakes, n - 1))
-        lam = np.linalg.eigvalsh(G.normalized_laplacian(g))
+        lam = np.linalg.eigvalsh(dense(G.normalized_laplacian(g)))
         assert lam.min() > -1e-12 and lam.max() < 2 + 1e-12
 
     def test_symmetry(self):
         g = random_graph(9, seed=3)
-        lap = G.normalized_laplacian(g)
+        lap = dense(G.normalized_laplacian(g))
         np.testing.assert_allclose(lap, lap.T, atol=1e-15)
+
+
+class TestNeighbourTable:
+    def test_rows_ascending_padding_last(self):
+        g = random_graph(7, seed=4, fakes=2)
+        nbr = g.neighbors
+        assert nbr.shape == (7, g.d_max)
+        for i, row in enumerate(nbr):
+            real = row[row >= 0]
+            assert np.all(row[real.size:] == -1)
+            np.testing.assert_array_equal(real, np.flatnonzero(dense(g)[i]))
+        np.testing.assert_array_equal(g.weights, (nbr >= 0).astype(float))
+
+    def test_rejects_unsorted_or_repeated_rows(self):
+        nbr = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="ascending"):
+            G.Graph(G.RowTable(nbr, np.ones((2, 2))))
+        with pytest.raises(ValueError, match="repeated"):
+            G.row_table(2, [0, 0], [1, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="outside"):
+            G.row_table(2, [0], [2], [1.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_laplacians_equal_dense_formulas(self, seed):
+        # entry by entry the same float64 expressions as the dense
+        # I - D^-1/2 A D^-1/2 and 2 L / lambda_max - I
+        g = random_graph(11, seed=seed, fakes=seed % 3)
+        a = dense(g)
+        d = a.sum(axis=1)
+        s = np.zeros_like(d)
+        np.divide(1.0, np.sqrt(d), out=s, where=d > 0)
+        lap = np.eye(11) - (s[:, None] * a) * s[None, :]
+        np.testing.assert_array_equal(dense(G.normalized_laplacian(g)), lap)
+        sl = G.scaled_laplacian(g)
+        scaled = (2.0 / sl.lambda_max) * lap - np.eye(11)
+        np.testing.assert_array_equal(dense(sl), scaled)
+        np.testing.assert_array_equal(sl.as_tensor(np.float32).data,
+                                      scaled.astype(np.float32))
+        x = np.random.default_rng(seed).standard_normal(11)
+        np.testing.assert_allclose(G.normalized_laplacian(g).matvec(x), lap @ x,
+                                   rtol=0, atol=1e-15)
 
 
 class TestLambdaMax:
     def test_hand_value(self):
-        est = G.estimate_lambda_max(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        est = G.estimate_lambda_max(table_from_dense([[0.5, -0.5], [-0.5, 0.5]]))
         assert est.converged and abs(est.value - 1.0) < 1e-6
 
     def test_identity(self):
-        est = G.estimate_lambda_max(np.eye(5))
+        est = G.estimate_lambda_max(table_from_dense(np.eye(5)))
         assert est.converged and abs(est.value - 1.0) < 1e-9
 
     def test_matches_eigh_or_falls_back(self):
@@ -126,7 +170,7 @@ class TestLambdaMax:
             g = random_graph(8, seed=seed)
             lap = G.normalized_laplacian(g)
             est = G.estimate_lambda_max(lap)
-            exact = np.linalg.eigvalsh(lap).max()
+            exact = np.linalg.eigvalsh(dense(lap)).max()
             if est.converged:
                 converged += 1
                 assert abs(est.value - exact) < 1e-6, (seed, est.value, exact)
@@ -135,17 +179,36 @@ class TestLambdaMax:
                 assert est.value == 2.0 and exact <= 2.0 + 1e-12
         assert converged >= 5  # the fallback is the exception, not the rule
 
+    def test_one_product_per_iteration_is_bit_identical(self):
+        # the Rayleigh quotient's product is reused as the next iterate
+        def two_products(lap, seed):
+            v = np.random.default_rng(seed).standard_normal(lap.num_rows)
+            v /= np.linalg.norm(v)
+            prev = np.inf
+            for _ in range(G.POWER_ITER_MAX):
+                w = lap.matvec(v)
+                v = w / np.linalg.norm(w)
+                rayleigh = float(v @ lap.matvec(v))
+                if abs(rayleigh - prev) < G.POWER_ITER_TOL:
+                    return G.LambdaMaxEstimate(rayleigh, True)
+                prev = rayleigh
+            return G.LambdaMaxEstimate(G.LAMBDA_MAX_FALLBACK, False)
+
+        for seed in range(8):
+            lap = G.normalized_laplacian(random_graph(9, seed=seed))
+            assert G.estimate_lambda_max(lap, seed) == two_products(lap, seed)
+
     def test_zero_matrix_single_vertex(self):
         # one real vertex with self-loop: L == 0, scaled falls back to -I
-        g = G.Graph(np.array([[1.0]]))
+        g = graph_from_dense(np.array([[1.0]]))
         sl = G.scaled_laplacian(g)
-        np.testing.assert_allclose(sl.matrix, [[-1.0]])
+        np.testing.assert_allclose(dense(sl), [[-1.0]])
 
     def test_scaled_spectrum_in_minus1_1(self):
         for seed in range(5):
             g = random_graph(10, seed=seed, fakes=seed % 3)
             sl = G.scaled_laplacian(g)
-            lam = np.linalg.eigvalsh(sl.matrix)
+            lam = np.linalg.eigvalsh(dense(sl))
             assert lam.min() > -1 - 1e-9 and lam.max() < 1 + 1e-6
 
 
@@ -161,9 +224,9 @@ class TestChebyshevConv:
     def test_frozen_hand_value(self):
         # 2-vertex complete graph: L_tilde = [[0,-1],[-1,0]]; x = e_0,
         # theta_k = 1 for k < 3: T0 x + T1 x + T2 x = [2, -1]
-        g = G.Graph(np.ones((2, 2)))
+        g = graph_from_dense(np.ones((2, 2)))
         sl = G.scaled_laplacian(g)
-        np.testing.assert_allclose(sl.matrix, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
+        np.testing.assert_allclose(dense(sl), [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
         filt = G.ChebFilter([Tensor(np.ones((1, 1))) for _ in range(3)])
         out = G.chebyshev_conv(Tensor(np.array([[1.0], [0.0]])), sl, filt)
         np.testing.assert_allclose(out.data, [[2.0], [-1.0]], atol=1e-7)
@@ -186,7 +249,7 @@ class TestChebyshevConv:
         x = rng.standard_normal(n)
         filt = G.ChebFilter([Tensor(np.full((1, 1), t), dtype=np.float64) for t in theta])
         ours = G.chebyshev_conv(Tensor(x[:, None]), sl, filt).data[:, 0]
-        ref = G.dense_spectral_oracle(x, sl, theta)
+        ref = dense_spectral_oracle(x, sl, theta)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
     def test_locality_k3_is_two_hops(self):
@@ -197,7 +260,7 @@ class TestChebyshevConv:
             x = np.zeros((12, 1))
             x[src, 0] = 1.0
             out = G.chebyshev_conv(Tensor(x, dtype=np.float64), sl, filt).data[:, 0]
-            dist = hop_distances(g.adjacency, src)
+            dist = hop_distances(dense(g), src)
             outside = np.abs(out[dist > 2])
             assert outside.size == 0 or outside.max() < 1e-12
 
@@ -259,6 +322,6 @@ class TestDenseOracle:
         g = random_graph(4, seed=0)
         sl = G.scaled_laplacian(g)
         with pytest.raises(ValueError):
-            G.dense_spectral_oracle(np.zeros(5), sl, [1.0])
+            dense_spectral_oracle(np.zeros(5), sl, [1.0])
         with pytest.raises(ValueError, match="empty"):
-            G.dense_spectral_oracle(np.zeros(4), sl, [])
+            dense_spectral_oracle(np.zeros(4), sl, [])

@@ -11,6 +11,8 @@ from meshlift.models import MeshRegressor, PoseLifter, fit_widths
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tape, Tensor
 
+from dense_views import table_from_dense
+
 
 class TestModuleProtocol:
     def test_names_follow_attribute_order(self):
@@ -229,8 +231,8 @@ class TestMeshRegressor:
         rng = np.random.default_rng(9)
 
         def scramble(lap):
-            m = rng.standard_normal(lap.matrix.shape)
-            return ScaledLaplacian((m + m.T) / 2, 2.0)
+            m = rng.standard_normal((lap.num_vertices, lap.num_vertices))
+            return ScaledLaplacian(table_from_dense((m + m.T) / 2), 2.0)
 
         net.pose_lap = scramble(net.pose_lap)
         hierarchy.scaled_laplacians = [scramble(sl)

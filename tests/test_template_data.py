@@ -34,7 +34,7 @@ class TestTubeBody:
         frontier = [0]
         while frontier:
             u = frontier.pop()
-            for v in np.flatnonzero(g.adjacency[u]):
+            for v in g.neighbors[u][g.neighbors[u] >= 0]:
                 if int(v) not in seen:
                     seen.add(int(v))
                     frontier.append(int(v))
