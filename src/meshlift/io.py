@@ -108,6 +108,9 @@ def save_checkpoint(path, config: dict, tensors: dict) -> None:
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        if not np.isfinite(arr).all():
+            raise ValueError(f"save_checkpoint {path}: tensor {name!r} has "
+                             f"non-finite values")
         blob = arr.astype("<f4", copy=False).tobytes()
         entries.append({"name": name, "shape": list(arr.shape),
                         "dtype": "f32", "byte_offset": offset})
@@ -143,19 +146,30 @@ def load_checkpoint(path):
                          f"{manifest.get('format_version')!r}")
     payload = raw[8 + mlen:]
     tensors = {}
+    spans = []  # (start, end, name) of every non-empty payload range
     for entry in manifest["tensors"]:
+        name = entry.get("name")
         if entry.get("dtype") != "f32":
-            raise ValueError(f"checkpoint {path}: tensor {entry.get('name')!r} "
+            raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"has unsupported dtype {entry.get('dtype')!r}")
+        if name in tensors:
+            raise ValueError(f"checkpoint {path}: duplicate tensor {name!r}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         start = entry["byte_offset"]
         end = start + 4 * count
         if start < 0 or end > len(payload):
-            raise ValueError(f"checkpoint {path}: tensor {entry['name']!r} "
+            raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"payload out of range")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = arr.astype(np.float32, copy=True)
+        tensors[name] = arr.astype(np.float32, copy=True)
+        if end > start:
+            spans.append((start, end, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise ValueError(f"checkpoint {path}: payloads of tensors "
+                             f"{first!r} and {second!r} overlap")
     return manifest["config"], tensors
 
 

@@ -15,6 +15,26 @@ from meshlift.tensor import Tensor
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+INIT_BLOCK = 1 << 18  # about this many values per rng.uniform call
+
+
+def uniform_weight(shape: tuple[int, int], fan_in: int,
+                   rng: np.random.Generator, dtype=np.float32) -> Tensor:
+    """A trainable (rows, cols) weight, uniform in (-s, s), s = sqrt(6 / fan_in).
+
+    The values equal one rng.uniform(-s, s, shape) call cast to dtype, but
+    are drawn in row blocks of about INIT_BLOCK values, so no full-size
+    float64 temporary or copy is made.
+    """
+    s = np.sqrt(6.0 / fan_in)
+    data = np.empty(shape, dtype=dtype)
+    step = max(1, INIT_BLOCK // shape[1])
+    for i in range(0, shape[0], step):
+        block = data[i:i + step]
+        block[...] = rng.uniform(-s, s, size=block.shape)
+    w = Tensor._wrap(data)
+    w.requires_grad = True
+    return w
 
 
 def _walk(name: str, value):
@@ -57,14 +77,12 @@ class Linear(Module):
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  dtype=np.float32):
-        s = np.sqrt(6.0 / n_in)
-        self.weight = Tensor(rng.uniform(-s, s, size=(n_in, n_out)),
-                             requires_grad=True, dtype=dtype)
+        self.weight = uniform_weight((n_in, n_out), n_in, rng, dtype)
         self.bias = Tensor(np.zeros((1, n_out)), requires_grad=True, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         y = T.matmul(x, self.weight)
-        return T.add(y, T.repeat_rows(self.bias, y.shape[0]))
+        return T.add(y, self.bias)
 
 
 class BatchNorm1d(Module):
@@ -91,10 +109,9 @@ class BatchNorm1d(Module):
             if b < 2:
                 raise ValueError("batchnorm: training mode needs batch size >= 2")
             mean = T.reduce_mean(x, axis=0, keepdims=True)
-            centered = T.sub(x, T.repeat_rows(mean, b))
+            centered = T.sub(x, mean)
             var = T.reduce_mean(T.mul(centered, centered), axis=0, keepdims=True)
             denom = T.sqrt(T.scalar_add(var, BN_EPS))
-            xhat = T.div(centered, T.repeat_rows(denom, b))
             m = x.data.mean(axis=0, keepdims=True)
             v = x.data.var(axis=0, keepdims=True) * (b / (b - 1))  # unbiased
             self.running_mean = ((1 - BN_MOMENTUM) * self.running_mean
@@ -102,13 +119,10 @@ class BatchNorm1d(Module):
             self.running_var = ((1 - BN_MOMENTUM) * self.running_var
                                 + BN_MOMENTUM * v).astype(x.data.dtype)
         else:
-            mean = Tensor(self.running_mean, dtype=x.dtype)
+            centered = T.sub(x, Tensor(self.running_mean, dtype=x.dtype))
             denom = Tensor(np.sqrt(self.running_var.astype(np.float64) + BN_EPS),
                            dtype=x.dtype)
-            xhat = T.div(T.sub(x, T.repeat_rows(mean, b)),
-                         T.repeat_rows(denom, b))
-        scaled = T.mul(xhat, T.repeat_rows(self.gamma, b))
-        return T.add(scaled, T.repeat_rows(self.beta, b))
+        return T.add(T.mul(T.div(centered, denom), self.gamma), self.beta)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -126,11 +140,8 @@ def dropout(x: Tensor, p: float, training: bool,
 
 def make_cheb_filter(f_in: int, f_out: int, order: int,
                      rng: np.random.Generator, dtype=np.float32) -> ChebFilter:
-    s = np.sqrt(6.0 / (order * f_in))
-    return ChebFilter([
-        Tensor(rng.uniform(-s, s, size=(f_in, f_out)), requires_grad=True, dtype=dtype)
-        for _ in range(order)
-    ])
+    return ChebFilter([uniform_weight((f_in, f_out), order * f_in, rng, dtype)
+                       for _ in range(order)])
 
 
 class GraphConvBlock(Module):

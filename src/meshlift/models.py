@@ -19,7 +19,7 @@ from meshlift import tensor as T
 from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
 from meshlift.graphs import Graph, ScaledLaplacian, chebyshev_conv, scaled_laplacian
 from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
-                             make_cheb_filter)
+                             make_cheb_filter, uniform_weight)
 from meshlift.template import MeshTemplate
 from meshlift.tensor import Tensor
 
@@ -84,7 +84,7 @@ class PoseLifter(Module):
         # pin the root joint to the origin by subtracting its own output
         j = self.num_joints
         jbf = T.transpose(T.reshape(y, (b, j, 3)), (1, 0, 2))
-        root = T.repeat_rows(T.gather_rows(jbf, [self.root_index]), j)
+        root = T.gather_rows(jbf, [self.root_index])
         return T.reshape(T.transpose(T.sub(jbf, root), (1, 0, 2)), (b, 3 * j))
 
 
@@ -98,9 +98,7 @@ class _Level(Module):
         self.b = GraphConvBlock(f_out, f_out, order, rng, dtype)
         self.skip_proj = None
         if project_skip:
-            s = np.sqrt(6.0 / f_in)
-            self.skip_proj = Tensor(rng.uniform(-s, s, size=(f_in, f_out)),
-                                    requires_grad=True, dtype=dtype)
+            self.skip_proj = uniform_weight((f_in, f_out), f_in, rng, dtype)
 
 
 class _Head(Module):

@@ -4,10 +4,13 @@ Training math runs in float32; the numerical oracles (gradient checks,
 spectral cross-checks) run the same ops in float64. Gradients are only
 recorded while a Tape is active, so eval-mode forwards stay pure.
 
-There is deliberately no broadcasting: elementwise ops demand identical
-shapes and matmul is strictly 2-D, so every recorded op has a direct,
-auditable backward rule. Batched layouts are expressed through explicit
-reshape / transpose / repeat / gather ops instead.
+Broadcasting has one rule: add, sub, mul and div take operands of equal
+shape, or one operand whose leading axis is 1 and whose other axes equal
+the other's (a bias, a batch statistic, a root joint), which is used for
+every row; its gradient is the op's gradient summed over axis 0. matmul
+is strictly 2-D. Every other batched layout is expressed through
+explicit reshape / transpose / gather ops, so every recorded op keeps a
+direct, auditable backward rule.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "reduce_mean",
     "reduce_sum",
     "relu",
-    "repeat_rows",
     "reshape",
     "scalar_add",
     "scalar_mul",
@@ -137,35 +139,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    # operator sugar; scalars dispatch to the scalar ops
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scalar_add(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scalar_add(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scalar_mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -200,54 +173,62 @@ def _check_tensor(op: str, *ts):
 # elementwise
 
 
+def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
+    """Type, dtype and shape check shared by the elementwise binary ops."""
+    _check_tensor(op, a, b)
+    _check_dtype(op, a, b)
+    sa, sb = a.shape, b.shape
+    if sa != sb and not (len(sa) == len(sb) >= 1 and sa[1:] == sb[1:]
+                         and 1 in (sa[0], sb[0])):
+        raise ShapeError(op, sa, sb)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a full-shape gradient back to a one-row operand's shape."""
+    return g if g.shape == shape else g.sum(axis=0, keepdims=True)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor("add", a, b)
-    _check_dtype("add", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("add", a.shape, b.shape)
+    _check_pair("add", a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g, needs):
-        return (g if needs[0] else None, g if needs[1] else None)
+        return (_unbroadcast(g, sa) if needs[0] else None,
+                _unbroadcast(g, sb) if needs[1] else None)
 
     return _apply("add", (a, b), a.data + b.data, bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor("sub", a, b)
-    _check_dtype("sub", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("sub", a.shape, b.shape)
+    _check_pair("sub", a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g, needs):
-        return (g if needs[0] else None, -g if needs[1] else None)
+        return (_unbroadcast(g, sa) if needs[0] else None,
+                _unbroadcast(-g, sb) if needs[1] else None)
 
     return _apply("sub", (a, b), a.data - b.data, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor("mul", a, b)
-    _check_dtype("mul", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("mul", a.shape, b.shape)
+    _check_pair("mul", a, b)
     ad, bd = a.data, b.data
 
     def bw(g, needs):
-        return (g * bd if needs[0] else None, g * ad if needs[1] else None)
+        return (_unbroadcast(g * bd, ad.shape) if needs[0] else None,
+                _unbroadcast(g * ad, bd.shape) if needs[1] else None)
 
     return _apply("mul", (a, b), ad * bd, bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor("div", a, b)
-    _check_dtype("div", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("div", a.shape, b.shape)
+    _check_pair("div", a, b)
     ad, bd = a.data, b.data
     out = ad / bd
 
     def bw(g, needs):
-        ga = g / bd if needs[0] else None
-        gb = -(g * out) / bd if needs[1] else None
+        ga = _unbroadcast(g / bd, ad.shape) if needs[0] else None
+        gb = _unbroadcast(-(g * out) / bd, bd.shape) if needs[1] else None
         return (ga, gb)
 
     return _apply("div", (a, b), out, bw)
@@ -485,19 +466,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (acc,)
 
     return _apply("gather_rows", (a,), a.data[idx], bw)
-
-
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a single leading row n times; backward sums over the copies."""
-    _check_tensor("repeat_rows", a)
-    if a.ndim < 1 or a.shape[0] != 1:
-        raise ShapeError("repeat_rows", a.shape)
-    n = int(n)
-
-    def bw(g, needs):
-        return (g.sum(axis=0, keepdims=True) if needs[0] else None,)
-
-    return _apply("repeat_rows", (a,), np.repeat(a.data, n, axis=0), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated manifest"):
             load_checkpoint(p)
 
+    def rewrite_manifest(self, p, edit):
+        """Apply edit to the manifest's tensor list and write the file back."""
+        raw = p.read_bytes()
+        mlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        manifest = json.loads(raw[8:8 + mlen])
+        edit(manifest["tensors"])
+        mbytes = json.dumps(manifest).encode("utf-8")
+        p.write_bytes(raw[:4] + len(mbytes).to_bytes(4, "little") + mbytes
+                      + raw[8 + mlen:])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_and_names_it(self, tmp_path, bad):
+        tensors = self.tensors()
+        tensors["a.bias"][0, 2] = bad
+        p = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match="'a.bias' has non-finite"):
+            save_checkpoint(p, {}, tensors)
+        assert not p.exists()
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, self.tensors())
+
+        def rename(entries):
+            entries[2]["name"] = "a.bias"
+        self.rewrite_manifest(p, rename)
+        with pytest.raises(ValueError, match="duplicate tensor 'a.bias'"):
+            load_checkpoint(p)
+
+    def test_overlapping_payloads_rejected(self, tmp_path):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, self.tensors())
+
+        def overlap(entries):
+            entries[1]["byte_offset"] = 40  # into a.weight's bytes 0-48
+        self.rewrite_manifest(p, overlap)
+        with pytest.raises(ValueError, match="'a.weight' and 'a.bias' overlap"):
+            load_checkpoint(p)
+
     def test_float64_inputs_are_stored_as_f32(self, tmp_path):
         p = tmp_path / "c.bin"
         save_checkpoint(p, {}, {"x": np.array([1.0, 2.0])})

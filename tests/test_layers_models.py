@@ -1,5 +1,7 @@
 """Layers and the two networks: shapes, modes, init, differentiability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,28 @@ class TestLinear:
         assert np.abs(lin.weight.data).max() <= s
         assert np.abs(lin.weight.data).std() > 0
         assert np.all(lin.bias.data == 0)
+
+    def test_init_equals_one_draw_in_bounded_memory(self):
+        # the dense body's lift layer: 896 x 15,552 float32 weights, 53 MB;
+        # a one-shot float64 draw alone would be 106 MB
+        tracemalloc.start()
+        try:
+            lin = L.Linear(896, 15552, np.random.default_rng([7, 202]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20, peak
+        s = np.sqrt(6.0 / 896)
+        one_shot = np.random.default_rng([7, 202]).uniform(-s, s, (896, 15552))
+        np.testing.assert_array_equal(lin.weight.data, one_shot.astype(np.float32))
+
+    def test_float64_init_equals_one_draw(self):
+        # 3,000 rows of 700 span several row blocks
+        lin = L.Linear(3000, 700, np.random.default_rng(5), dtype=np.float64)
+        s = np.sqrt(6.0 / 3000)
+        assert lin.weight.dtype == np.float64
+        np.testing.assert_array_equal(
+            lin.weight.data, np.random.default_rng(5).uniform(-s, s, (3000, 700)))
 
 
 class TestBatchNorm:

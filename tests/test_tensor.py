@@ -37,13 +37,13 @@ class TestForwardValues:
     def test_matmul(self):
         a = Tensor(np.array([[1.0, 2.0]]))
         b = Tensor(np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose((a @ b).data, [[11.0]])
+        np.testing.assert_allclose(T.matmul(a, b).data, [[11.0]])
 
     def test_scalar_ops(self):
         a = Tensor(np.array([1.0, -2.0]))
-        np.testing.assert_allclose((a * 3.0).data, [3, -6])
-        np.testing.assert_allclose((a + 1.0).data, [2, -1])
-        np.testing.assert_allclose((-a).data, [-1, 2])
+        np.testing.assert_allclose(T.scalar_mul(a, 3.0).data, [3, -6])
+        np.testing.assert_allclose(T.scalar_add(a, 1.0).data, [2, -1])
+        np.testing.assert_allclose(T.scalar_mul(a, -1.0).data, [-1, 2])
 
     def test_reductions(self):
         a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
@@ -70,8 +70,12 @@ class TestForwardValues:
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(T.gather_rows(a, [1, 0, 1]).data,
                                    [[3, 4], [1, 2], [3, 4]])
+        # a one-row operand is used for every row, on either side
         b = Tensor(np.array([[7.0, 8.0]]))
-        np.testing.assert_allclose(T.repeat_rows(b, 3).data, [[7, 8]] * 3)
+        np.testing.assert_allclose(T.add(a, b).data, [[8, 10], [10, 12]])
+        np.testing.assert_allclose(T.sub(b, a).data, [[6, 6], [4, 4]])
+        np.testing.assert_allclose(T.mul(a, b).data, [[7, 16], [21, 32]])
+        np.testing.assert_allclose(T.div(b, a).data, [[7, 4], [7 / 3, 2]])
 
     def test_concat_transpose_reshape(self):
         a = Tensor(np.array([[1.0, 2.0]]))
@@ -95,6 +99,17 @@ class TestErrors:
         with pytest.raises(ShapeError, match="matmul"):
             T.matmul(a, a)
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("other", [(3, 1), (2, 4), (4,), (1, 1, 4)])
+    def test_only_one_row_operands_broadcast(self, op, other):
+        a = Tensor(np.ones((3, 4)))
+        b = Tensor(np.ones(other))
+        f = getattr(T, op)
+        with pytest.raises(ShapeError, match=op):
+            f(a, b)
+        with pytest.raises(ShapeError, match=op):
+            f(b, a)
+
     def test_dtype_mismatch(self):
         a = Tensor(np.zeros(3), dtype=np.float32)
         b = Tensor(np.zeros(3), dtype=np.float64)
@@ -109,20 +124,20 @@ class TestErrors:
     def test_backward_requires_scalar(self):
         a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
         with Tape():
-            y = a * 2.0
+            y = T.scalar_mul(a, 2.0)
         with pytest.raises(ValueError, match="scalar"):
             T.backward(y)
 
     def test_backward_without_tape(self):
         a = Tensor(np.zeros(1), requires_grad=True)
-        y = T.reduce_sum(a * 2.0)  # no tape active: nothing recorded
+        y = T.reduce_sum(T.scalar_mul(a, 2.0))  # no tape active: nothing recorded
         with pytest.raises(RuntimeError, match="tape"):
             T.backward(y)
 
     def test_double_backward_is_hard_error(self):
         a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
         with Tape():
-            y = T.reduce_sum(a * 2.0)
+            y = T.reduce_sum(T.scalar_mul(a, 2.0))
         T.backward(y)
         with pytest.raises(RuntimeError, match="consumed"):
             T.backward(y)
@@ -135,7 +150,7 @@ class TestErrors:
         gc.disable()
         try:
             with Tape() as tape:
-                y = T.reduce_sum(T.mul(a, a * 2.0))
+                y = T.reduce_sum(T.mul(a, T.scalar_mul(a, 2.0)))
             T.backward(y)
             ref = weakref.ref(tape)
             del tape, y
@@ -156,7 +171,7 @@ class TestBackwardValues:
     def test_matmul_grads(self):
         a = Tensor(rand(2, 3, seed=1), requires_grad=True)
         b = Tensor(rand(3, 4, seed=2), requires_grad=True)
-        (ga, gb) = grad_of(lambda: T.reduce_sum(a @ b), a, b)
+        (ga, gb) = grad_of(lambda: T.reduce_sum(T.matmul(a, b)), a, b)
         ones = np.ones((2, 4))
         np.testing.assert_allclose(ga, ones @ b.data.T)
         np.testing.assert_allclose(gb, a.data.T @ ones)
@@ -180,21 +195,21 @@ class TestBackwardValues:
         a = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         for _ in range(2):
             with Tape():
-                y = T.reduce_sum(a * 3.0)
+                y = T.reduce_sum(T.scalar_mul(a, 3.0))
             T.backward(y)
         np.testing.assert_allclose(a.grad, [6.0, 6.0])
 
     def test_no_recording_without_tape(self):
         a = Tensor(np.ones(2), requires_grad=True)
-        y = a * 2.0
+        y = T.scalar_mul(a, 2.0)
         assert not y.requires_grad and y.tape is None
 
     def test_unreachable_branch_gets_no_grad(self):
         a = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         b = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         with Tape():
-            _ = T.reduce_sum(b * 5.0)  # dead branch
-            y = T.reduce_sum(a * 2.0)
+            _ = T.reduce_sum(T.scalar_mul(b, 5.0))  # dead branch
+            y = T.reduce_sum(T.scalar_mul(a, 2.0))
         T.backward(y)
         assert b.grad is None
         np.testing.assert_allclose(a.grad, [2.0, 2.0])
@@ -207,10 +222,10 @@ PRIMITIVE_CASES = [
     ("mul", lambda x: T.reduce_sum(T.mul(x, Tensor(rand(3, 4, seed=9)))), (3, 4)),
     ("div_num", lambda x: T.reduce_sum(T.div(x, Tensor(rand(3, 4, seed=9) + 3.0))), (3, 4)),
     ("div_den", lambda x: T.reduce_sum(T.div(Tensor(rand(3, 4, seed=9)), T.scalar_add(T.mul(x, x), 1.0))), (3, 4)),
-    ("scalar_mul", lambda x: T.reduce_sum(x * -1.7), (5,)),
-    ("scalar_add", lambda x: T.reduce_sum(x + 0.3), (5,)),
-    ("matmul_a", lambda x: T.reduce_sum(x @ Tensor(rand(4, 2, seed=9))), (3, 4)),
-    ("matmul_b", lambda x: T.reduce_sum(Tensor(rand(2, 3, seed=9)) @ x), (3, 4)),
+    ("scalar_mul", lambda x: T.reduce_sum(T.scalar_mul(x, -1.7)), (5,)),
+    ("scalar_add", lambda x: T.reduce_sum(T.scalar_add(x, 0.3)), (5,)),
+    ("matmul_a", lambda x: T.reduce_sum(T.matmul(x, Tensor(rand(4, 2, seed=9)))), (3, 4)),
+    ("matmul_b", lambda x: T.reduce_sum(T.matmul(Tensor(rand(2, 3, seed=9)), x)), (3, 4)),
     ("transpose", lambda x: T.reduce_sum(T.mul(T.transpose(x), Tensor(rand(4, 3, seed=9)))), (3, 4)),
     ("transpose3", lambda x: T.reduce_sum(T.mul(T.transpose(x, (2, 0, 1)), Tensor(rand(4, 2, 3, seed=9)))), (2, 3, 4)),
     ("reshape", lambda x: T.reduce_sum(T.mul(T.reshape(x, (6, 2)), Tensor(rand(6, 2, seed=9)))), (3, 4)),
@@ -224,7 +239,17 @@ PRIMITIVE_CASES = [
     ("norm_last", lambda x: T.reduce_sum(T.norm_last(x)), (5, 3)),
     ("normalize_last", lambda x: T.reduce_sum(T.mul(T.normalize_last(x), Tensor(rand(5, 3, seed=9)))), (5, 3)),
     ("gather", lambda x: T.reduce_sum(T.mul(T.gather_rows(x, [0, 2, 2, 1]), Tensor(rand(4, 3, seed=9)))), (3, 3)),
-    ("repeat", lambda x: T.reduce_sum(T.mul(T.repeat_rows(x, 5), Tensor(rand(5, 4, seed=9)))), (1, 4)),
+    # one-row operands: the gradient sums over the rows they were used for
+    ("add_row_a", lambda x: T.reduce_sum(T.mul(T.add(x, Tensor(rand(5, 4, seed=9))), Tensor(rand(5, 4, seed=8)))), (1, 4)),
+    ("add_row_b", lambda x: T.reduce_sum(T.mul(T.add(Tensor(rand(5, 4, seed=9)), x), Tensor(rand(5, 4, seed=8)))), (1, 4)),
+    ("sub_row_a", lambda x: T.reduce_sum(T.mul(T.sub(x, Tensor(rand(5, 4, seed=9))), Tensor(rand(5, 4, seed=8)))), (1, 4)),
+    ("sub_row_b", lambda x: T.reduce_sum(T.mul(T.sub(Tensor(rand(5, 4, seed=9)), x), Tensor(rand(5, 4, seed=8)))), (1, 4)),
+    ("mul_row_a", lambda x: T.reduce_sum(T.mul(x, Tensor(rand(5, 4, seed=9)))), (1, 4)),
+    ("mul_row_b", lambda x: T.reduce_sum(T.mul(Tensor(rand(5, 4, seed=9)), x)), (1, 4)),
+    ("div_row_a", lambda x: T.reduce_sum(T.div(x, Tensor(rand(5, 4, seed=9) + 3.0))), (1, 4)),
+    ("div_row_b", lambda x: T.reduce_sum(T.div(Tensor(rand(5, 4, seed=9)), T.scalar_add(T.mul(x, x), 1.0))), (1, 4)),
+    # the root-joint pattern: a gathered (1, B, 3) row subtracted from its own (J, B, 3) source
+    ("sub_row_3d", lambda x: T.reduce_sum(T.mul(T.sub(x, T.gather_rows(x, [2])), Tensor(rand(4, 2, 3, seed=9)))), (4, 2, 3)),
 ]
 
 
@@ -264,7 +289,7 @@ def test_composite_expression_gradcheck_property(seed, n, m):
     c = Tensor(rng.standard_normal((n, n)) + np.eye(n) * 3.0, dtype=np.float64)
 
     def f(x):
-        h = T.relu(x @ c)
+        h = T.relu(T.matmul(x, c))
         h = T.add(h, x)
         return T.reduce_sum(T.absolute(T.scalar_add(h, 0.05)))
 

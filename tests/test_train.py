@@ -9,7 +9,8 @@ from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
 from meshlift.io import load_checkpoint
-from meshlift.tensor import Tape, Tensor, backward, reduce_sum
+from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
+from meshlift.tensor import Tape, Tensor, backward, reduce_sum, reshape
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
                             train_full, train_posenet)
 
@@ -266,6 +267,31 @@ V1_CONFIG = {
               "levels": 2, "level_widths": [4, 3, 2],
               "across_level_residual": True},
 }
+
+
+def test_desk_stage2_tape_budget():
+    """One desk stage-2 forward plus loss (batch 32, frozen lifter, every
+    loss term on): one-row operands enter add/sub/mul/div directly, so the
+    tape holds no row-tiling entries. 416 entries when it did."""
+    cfg = resolve_config("desk")
+    assert cfg.train.freeze_posenet
+    template, _, _, posenet, meshnet = build_models(cfg)
+    _, samples = generate_synthetic_dataset(cfg.template, 32, seed=1)
+    b, j = len(samples), template.num_joints
+    x2d, gt3d, mesh = train.assemble_batch(samples, range(b), None,
+                                           template.symmetry_pairs, None,
+                                           need_mesh=True)
+    lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
+    with Tape() as tape:
+        pred = meshnet.forward(Tensor(x2d, dtype=np.float32),
+                               reshape(lifted, (b, j, 3)), training=True)
+        parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
+                                    template.joint_regressor)
+        parts["pose"] = pose_loss(lifted, gt3d.reshape(b, 3 * j))
+        total_mesh_loss(parts, cfg.train.loss_weights, cfg.train.stage2_epochs)
+    names = [entry[0] for entry in tape.entries]
+    assert "repeat_rows" not in names
+    assert len(names) <= 375
 
 
 class TestCheckpointV1:
