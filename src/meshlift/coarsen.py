@@ -182,8 +182,9 @@ def upsample_features(f_coarse: Tensor, hierarchy: CoarseningHierarchy,
                       level: int) -> Tensor:
     """Copy each level-(c+1) parent row to its two level-c children.
 
-    The tree ordering makes this a gather with index slot//2; its backward
-    therefore sums the two child gradients into the parent row.
+    The tree ordering puts the children of parent slot i at slots 2i and
+    2i+1, so the forward repeats every row twice and the backward sums
+    each pair of child gradients into the parent row.
     """
     if not 0 <= level < hierarchy.num_levels:
         raise ValueError(
@@ -191,9 +192,12 @@ def upsample_features(f_coarse: Tensor, hierarchy: CoarseningHierarchy,
     coarse_size = hierarchy.level_size(level + 1)
     if f_coarse.shape[0] != coarse_size:
         raise ShapeError("upsample_features", f_coarse.shape, (coarse_size,))
-    fine_size = hierarchy.level_size(level)
-    idx = np.arange(fine_size, dtype=np.int64) // 2
-    return T.gather_rows(f_coarse, idx)
+
+    def bw(g, needs):
+        return (g[0::2] + g[1::2] if needs[0] else None,)
+
+    return T._apply("upsample_features", (f_coarse,),
+                    np.repeat(f_coarse.data, 2, axis=0), bw)
 
 
 def apply_perm(f_tree: Tensor, hierarchy: CoarseningHierarchy) -> Tensor:

@@ -162,6 +162,9 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"payload out of range")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has "
+                             f"non-finite values")
         tensors[name] = arr.astype(np.float32, copy=True)
         if end > start:
             spans.append((start, end, name))

@@ -10,7 +10,9 @@ the other's (a bias, a batch statistic, a root joint), which is used for
 every row; its gradient is the op's gradient summed over axis 0. matmul
 is strictly 2-D. Every other batched layout is expressed through
 explicit reshape / transpose / gather ops, so every recorded op keeps a
-direct, auditable backward rule.
+direct, auditable backward rule. The fused graph primitives
+(graphs.chebyshev_conv, coarsen.upsample_features) record one entry each
+through _apply, with their own backward rule.
 """
 
 from __future__ import annotations

@@ -28,13 +28,19 @@ from .tensor import Tape, Tensor
 
 RMSPROP_ALPHA = 0.99
 RMSPROP_EPS = 1e-8
+RMSPROP_BLOCK = 1 << 16
 
 TRACE_COLUMNS = ["epoch", "iter", "lr", "L_pose", "L_vertex", "L_joint",
                  "L_normal", "L_edge", "L_total"]
 
 
 class RMSprop:
-    """Per-element v <- a*v + (1-a)*g^2; theta <- theta - lr*g/(sqrt(v)+eps)."""
+    """Per-element v <- a*v + (1-a)*g^2; theta <- theta - lr*g/(sqrt(v)+eps).
+
+    The update runs in place, in blocks of RMSPROP_BLOCK values through two
+    block-sized scratch arrays per dtype, so no parameter-sized temporary
+    is made; the arithmetic and its order are the plain expression's.
+    """
 
     def __init__(self, named_params, lr: float, alpha: float = RMSPROP_ALPHA,
                  eps: float = RMSPROP_EPS):
@@ -46,16 +52,29 @@ class RMSprop:
         self.alpha = alpha
         self.eps = eps
         self.state = {n: np.zeros_like(p.data) for n, p in self.params}
+        self._scratch = {p.data.dtype: np.empty((2, RMSPROP_BLOCK), p.data.dtype)
+                         for _, p in self.params}
 
     def step(self) -> None:
         for name, p in self.params:
             if p.grad is None:
                 raise ValueError(f"rmsprop: parameter {name!r} has no gradient")
-            g = p.grad
-            v = self.state[name]
-            v *= self.alpha
-            v += (1.0 - self.alpha) * g * g
-            p.data -= (self.lr * g / (np.sqrt(v) + self.eps)).astype(p.data.dtype)
+            g = p.grad.reshape(-1)
+            v = self.state[name].reshape(-1)
+            w = p.data.reshape(-1)
+            scratch = self._scratch[p.data.dtype]
+            for i in range(0, w.size, RMSPROP_BLOCK):
+                gb, vb, wb = (x[i:i + RMSPROP_BLOCK] for x in (g, v, w))
+                t1, t2 = scratch[:, :wb.size]
+                vb *= self.alpha
+                np.multiply(gb, 1.0 - self.alpha, out=t1)
+                t1 *= gb
+                vb += t1
+                np.sqrt(vb, out=t2)
+                t2 += self.eps
+                np.multiply(gb, self.lr, out=t1)
+                t1 /= t2
+                wb -= t1
             p.grad = None
 
 
@@ -234,6 +253,14 @@ class _GradTracker:
         return sorted(n for n, alive in self.seen.items() if not alive)
 
 
+def _check_finite(parts: dict, epoch: int, it: int) -> None:
+    """Raise before backward, so a NaN or inf loss never reaches the weights."""
+    for name, t in parts.items():
+        if not np.isfinite(t.data).all():
+            raise ValueError(f"non-finite loss part {name!r} at epoch {epoch}, "
+                             f"iteration {it}")
+
+
 # ------------------------------------------------------------------- stage 1
 
 def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
@@ -268,6 +295,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
                 with Tape():
                     out = posenet.forward(x, training=True, rng=rng)
                     loss = pose_loss(out, target)
+                _check_finite({"pose": loss}, epoch, it + 1)
                 T.backward(loss)
                 tracker.observe()
                 opt.step()
@@ -346,6 +374,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                         parts["pose"] = pose_loss(lifted,
                                                   gt3d.reshape(b, 3 * j))
                     total = total_mesh_loss(parts, weights, epoch)
+                _check_finite(parts, epoch, it + 1)
                 T.backward(total)
                 tracker.observe()
                 opt.step()

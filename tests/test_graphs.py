@@ -1,5 +1,7 @@
 """Graphs, Laplacians, and the Chebyshev filter against its dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from meshlift import graphs as G
 from meshlift import tensor as T
+from meshlift.coarsen import graclus_coarsen
+from meshlift.config import resolve_config
+from meshlift.template import build_tube_body
 from meshlift.tensor import Tape, Tensor
 
 from dense_views import (dense, dense_spectral_oracle, graph_from_dense,
@@ -212,6 +217,13 @@ class TestLambdaMax:
             assert lam.min() > -1 - 1e-9 and lam.max() < 1 + 1e-6
 
 
+def with_path(sl, gathered):
+    """A copy of a scaled Laplacian that multiplies by the given path."""
+    out = G.ScaledLaplacian(sl.table, sl.lambda_max, sl.converged)
+    out.gathered = gathered
+    return out
+
+
 def make_filter(f_in, f_out, order, seed, dtype=np.float64, requires_grad=False):
     rng = np.random.default_rng(seed)
     return G.ChebFilter([
@@ -248,9 +260,11 @@ class TestChebyshevConv:
         theta = rng.standard_normal(order)
         x = rng.standard_normal(n)
         filt = G.ChebFilter([Tensor(np.full((1, 1), t), dtype=np.float64) for t in theta])
-        ours = G.chebyshev_conv(Tensor(x[:, None]), sl, filt).data[:, 0]
         ref = dense_spectral_oracle(x, sl, theta)
-        assert np.max(np.abs(ours - ref)) < 1e-10
+        for gathered in (False, True):
+            ours = G.chebyshev_conv(Tensor(x[:, None]), with_path(sl, gathered),
+                                    filt).data[:, 0]
+            assert np.max(np.abs(ours - ref)) < 1e-10, gathered
 
     def test_locality_k3_is_two_hops(self):
         g = random_graph(12, seed=5, p=0.25)
@@ -286,24 +300,30 @@ class TestChebyshevConv:
             G.chebyshev_conv(Tensor(np.zeros((5, 4))), sl, filt)
 
     def test_gradcheck_wrt_features_and_coefficients(self):
-        g = random_graph(6, seed=11)
-        sl = G.scaled_laplacian(g)
-        filt = make_filter(3, 2, 3, seed=12)
-        x0 = np.random.default_rng(13).standard_normal((6, 3))
+        g = random_graph(6, seed=11, fakes=1)
+        x0 = np.random.default_rng(13).standard_normal((6, 6))
+        w = Tensor(np.random.default_rng(14).standard_normal((6, 4)), dtype=np.float64)
 
-        rep = T.gradient_check(
-            lambda x: T.reduce_sum(G.chebyshev_conv(x, sl, filt)),
-            Tensor(x0, dtype=np.float64))
-        assert rep.max_rel_err < 1e-7
+        def loss(x, sl, filt):
+            # batch 2, unequal output weights: no gradient is a plain sum
+            return T.reduce_sum(T.mul(G.chebyshev_conv(x, sl, filt, batch=2), w))
 
-        for k in range(filt.order):
-            def f_theta(th, k=k):
-                coeffs = list(filt.coefficients)
-                coeffs[k] = th
-                return T.reduce_sum(G.chebyshev_conv(
-                    Tensor(x0, dtype=np.float64), sl, G.ChebFilter(coeffs)))
-            rep = T.gradient_check(f_theta, filt.coefficients[k])
-            assert rep.max_rel_err < 1e-7, k
+        for gathered in (False, True):
+            sl = with_path(G.scaled_laplacian(g), gathered)
+            for order in (1, 2, 3, 4):
+                filt = make_filter(3, 2, order, seed=12)
+                rep = T.gradient_check(lambda x: loss(x, sl, filt),
+                                       Tensor(x0, dtype=np.float64))
+                assert rep.max_rel_err < 1e-7, (gathered, order)
+
+                for k in range(order):
+                    def f_theta(th, k=k):
+                        coeffs = list(filt.coefficients)
+                        coeffs[k] = th
+                        return loss(Tensor(x0, dtype=np.float64), sl,
+                                    G.ChebFilter(coeffs))
+                    rep = T.gradient_check(f_theta, filt.coefficients[k])
+                    assert rep.max_rel_err < 1e-7, (gathered, order, k)
 
     def test_grads_flow_in_training_dtype(self):
         g = random_graph(6, seed=14)
@@ -315,6 +335,72 @@ class TestChebyshevConv:
         T.backward(loss)
         for c in filt.coefficients:
             assert c.grad is not None and c.grad.dtype == np.float32
+
+
+@pytest.fixture(scope="module")
+def body_laplacians():
+    """Scaled Laplacians of every hierarchy level, then the pose graph, of
+    the desk body (V = 176) and the dense body (V = 1,584), seed 7."""
+    out = {}
+    for name, ring in (("desk", 4), ("dense", 12)):
+        cfg = resolve_config("desk", {"seed": 7, "template": {
+            "verts_per_ring": ring, "rings_per_bone": ring}})
+        t = build_tube_body(cfg.template)
+        h = graclus_coarsen(G.build_mesh_graph(t), cfg.model.levels, seed=7)
+        pose = G.build_pose_graph(t.num_joints, t.skeleton_edges, t.symmetry_pairs)
+        out[name] = h.scaled_laplacians + [G.scaled_laplacian(pose, seed=7)]
+    return out
+
+
+class TestLaplacianProduct:
+    def test_level_choice(self, body_laplacians):
+        # desk level 0 is 2.8% dense, dense-body levels 0-2 are 0.29%, 0.62%
+        # and 1.3%, dense-body level 3 2.9%, the pose graph 29%
+        assert [sl.gathered for sl in body_laplacians["desk"]] == [False] * 5
+        assert [sl.gathered for sl in body_laplacians["dense"]] == \
+            [True, True, True, False, False]
+
+    @pytest.mark.parametrize("body", ["desk", "dense"])
+    def test_both_paths_equal_dense_view(self, body_laplacians, body):
+        rng = np.random.default_rng(3)
+        eps32 = np.finfo(np.float32).eps
+        for level, sl in enumerate(body_laplacians[body]):
+            ref_l = dense(sl)
+            a = rng.standard_normal((sl.num_vertices, 40))
+            a32 = a.astype(np.float32)
+            ref32 = ref_l @ a32.astype(np.float64)
+            bound32 = 16 * eps32 * (np.abs(ref_l) @ np.abs(a32.astype(np.float64)))
+            for gathered in (False, True):
+                forced = with_path(sl, gathered)
+                err = np.max(np.abs(forced.product(a) - ref_l @ a))
+                assert err < 1e-12, (level, gathered, err)
+                p32 = forced.product(a32)
+                assert p32.dtype == np.float32
+                assert np.all(np.abs(p32 - ref32) <= bound32), (level, gathered)
+
+    def test_gathered_conv_stays_below_dense_operand(self):
+        cfg = resolve_config("desk", {"template": {"verts_per_ring": 18,
+                                                   "rings_per_bone": 18}})
+        t = build_tube_body(cfg.template)
+        assert t.num_vertices == 3564
+        sl = graclus_coarsen(G.build_mesh_graph(t), 3, seed=7).scaled_laplacians[0]
+        v = sl.num_vertices
+        assert sl.gathered
+        batch, f = 4, 32
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((v, batch * f)), requires_grad=True,
+                   dtype=np.float32)
+        filt = make_filter(f, f, 3, seed=1, dtype=np.float32, requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                loss = T.reduce_sum(G.chebyshev_conv(x, sl, filt, batch=batch))
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak < 4 * v * v, f"peak {peak / 1e6:.1f} MB, V = {v}"
 
 
 class TestDenseOracle:

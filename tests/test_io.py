@@ -182,6 +182,18 @@ class TestCheckpoint:
             save_checkpoint(p, {}, tensors)
         assert not p.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_non_finite_and_names_it(self, tmp_path, bad):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, self.tensors())
+        raw = bytearray(p.read_bytes())
+        # the payload is the file's last 80 bytes; a.bias starts at byte 48
+        at = len(raw) - 80 + 48 + 2 * 4
+        raw[at:at + 4] = np.array([bad], dtype="<f4").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="'a.bias' has non-finite"):
+            load_checkpoint(p)
+
     def test_duplicate_name_rejected(self, tmp_path):
         p = tmp_path / "c.bin"
         save_checkpoint(p, {}, self.tensors())

@@ -132,6 +132,15 @@ class TestStage1:
         with pytest.raises(ValueError, match="empty"):
             train_posenet(tiny_cfg(), [])
 
+    def test_non_finite_loss_raises_before_backward(self):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        samples[3].pose3d[5, 1] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite loss part 'pose' "
+                                             r"at epoch 1, iteration [12]$"), \
+                np.errstate(all="ignore"):
+            train_posenet(cfg, samples)
+
     def test_csv_columns(self, tmp_path):
         cfg = tiny_cfg()
         _, samples = tiny_data()
@@ -235,6 +244,16 @@ class TestStage2:
         with pytest.raises(ValueError, match="mesh"):
             train_full(cfg, samples, s1.checkpoint_path)
 
+    def test_non_finite_loss_raises_before_backward(self, tmp_path):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        s1 = train_posenet(cfg, samples, out_dir=tmp_path / "s1")
+        samples[2].mesh[7, 0] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite loss part 'vertex' "
+                                             r"at epoch 1, iteration [12]$"), \
+                np.errstate(all="ignore"):
+            train_full(cfg, samples, s1.checkpoint_path)
+
     def test_no_dead_parameters_stage2(self, tmp_path):
         _, _, _, s2 = self.run_stages(tmp_path)
         assert s2.dead_parameters == []
@@ -272,7 +291,10 @@ V1_CONFIG = {
 def test_desk_stage2_tape_budget():
     """One desk stage-2 forward plus loss (batch 32, frozen lifter, every
     loss term on): one-row operands enter add/sub/mul/div directly, so the
-    tape holds no row-tiling entries. 416 entries when it did."""
+    tape holds no row-tiling entries (416 entries when it did), and each
+    of the 11 graph convolutions is one entry. 375 when a convolution was
+    15 entries, or 8 for the first pose conv, whose input holds no
+    gradient: 375 - 10 * 14 - 7 = 228."""
     cfg = resolve_config("desk")
     assert cfg.train.freeze_posenet
     template, _, _, posenet, meshnet = build_models(cfg)
@@ -291,7 +313,8 @@ def test_desk_stage2_tape_budget():
         total_mesh_loss(parts, cfg.train.loss_weights, cfg.train.stage2_epochs)
     names = [entry[0] for entry in tape.entries]
     assert "repeat_rows" not in names
-    assert len(names) <= 375
+    assert names.count("chebyshev_conv") == 11
+    assert len(names) <= 228
 
 
 class TestCheckpointV1:
