@@ -69,6 +69,20 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
           lambda x: _weighted_sum(bn.forward(x, training=True),
                                   np.random.default_rng(3)),
           rng.standard_normal((5, 3)), LAYER_TOL)
+    bn_x = np.random.default_rng(13).standard_normal((5, 3))
+
+    def bn_wrt(name):  # a fresh batch norm's output as a function of gamma or beta
+        def f(p):
+            fresh = L.BatchNorm1d(3, dtype=np.float64)
+            setattr(fresh, name, p)
+            return _weighted_sum(fresh.forward(Tensor(bn_x), training=True),
+                                 np.random.default_rng(3))
+        return f
+
+    check("layer.batch_norm.gamma", bn_wrt("gamma"), bn.gamma.data, LAYER_TOL)
+    check("layer.batch_norm.beta", bn_wrt("beta"), bn.beta.data, LAYER_TOL)
+    check("layer.batch_norm.eval", lambda x: _weighted_sum(
+        bn.forward(x, training=False), np.random.default_rng(3)), bn_x, LAYER_TOL)
 
     check("layer.dropout",
           lambda x: _weighted_sum(

@@ -15,7 +15,7 @@ from pathlib import Path
 from .checks import run_gradient_suite
 from .coarsen import graclus_coarsen
 from .config import echo_config, load_config_file, resolve_config
-from .data import generate_synthetic_dataset
+from .data import check_sample_shapes, generate_synthetic_dataset
 from .evaluate import posenet_mpjpe, predict, report_lines, run_evaluation
 from .graphs import build_mesh_graph
 from .io import (load_body_spec, load_dataset, save_body_spec, save_dataset,
@@ -212,9 +212,7 @@ def cmd_export_obj(args) -> int:
         if mesh is None:
             raise ValueError(f"sample {args.index} has no mesh")
         template = build_tube_body(cfg.template)
-        if mesh.shape[0] != template.num_vertices:
-            raise ValueError(f"dataset mesh has {mesh.shape[0]} vertices but "
-                             f"the template has {template.num_vertices}")
+        check_sample_shapes(samples, template)
     else:
         template = build_tube_body(cfg.template)
         mesh = template.vertices

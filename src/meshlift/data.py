@@ -48,6 +48,21 @@ class ErrorSynthConfig:
         return self.p_miss == 0.0 and self.p_swap == 0.0 and self.jitter_sigma_frac == 0.0
 
 
+def check_sample_shapes(samples, template: MeshTemplate) -> None:
+    """Reject an empty sample list, or samples whose joint or mesh vertex
+    count is not the template's, naming the first such sample."""
+    if not samples:
+        raise ValueError("empty dataset")
+    j, v = template.num_joints, template.num_vertices
+    for i, s in enumerate(samples):
+        for name, arr, want, unit in (("pose2d", s.pose2d, j, "joints"),
+                                      ("pose3d", s.pose3d, j, "joints"),
+                                      ("mesh", s.mesh, v, "vertices")):
+            if arr is not None and len(arr) != want:
+                raise ValueError(f"sample {i}: {name} has {len(arr)} {unit} but "
+                                 f"the template has {want}")
+
+
 def normalize_2d_pose(pose2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Remove the per-instance mean and scale of a 2D pose.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .data import normalize_2d_pose, synthesize_pose_errors
+from .data import check_sample_shapes, normalize_2d_pose, synthesize_pose_errors
 from .metrics import f_scores, mpjpe, mpvpe, pa_mpjpe
 from .template import ROOT_INDEX, MeshTemplate
 from .tensor import Tensor
@@ -85,8 +85,7 @@ def predict(cfg: RunConfig, template: MeshTemplate, posenet, meshnet,
 def run_evaluation(cfg: RunConfig, template: MeshTemplate, posenet, meshnet,
                    samples, input_mode: str | None = None) -> dict:
     """Metric report over a dataset; keys are stable for JSON output."""
-    if not samples:
-        raise ValueError("run_evaluation: empty dataset")
+    check_sample_shapes(samples, template)
     pred = predict(cfg, template, posenet, meshnet, samples, input_mode)
     mask = list(cfg.eval.joint_mask) if cfg.eval.joint_mask is not None else None
     report = {

@@ -55,6 +55,7 @@ def save_dataset(samples, path) -> None:
 
 def load_dataset(path) -> list[PoseSample]:
     samples = []
+    first = {}  # field -> (line, row count) of the first record that has it
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -86,16 +87,21 @@ def load_dataset(path) -> list[PoseSample]:
                     raise ValueError(f"dataset {path}:{lineno}: mesh must be (V, 3), "
                                      f"got {mesh.shape}")
             for name, arr in (("pose2d", pose2d), ("pose3d", pose3d), ("mesh", mesh)):
-                if arr is not None and not np.isfinite(arr).all():
+                if arr is None:
+                    continue
+                if not np.isfinite(arr).all():
                     raise ValueError(f"dataset {path}:{lineno}: {name} has "
                                      f"non-finite values")
+                line0, rows0 = first.setdefault(name, (lineno, len(arr)))
+                if len(arr) != rows0:
+                    unit = "vertex" if name == "mesh" else "joint"
+                    raise ValueError(f"dataset {path}:{lineno}: inconsistent {unit} "
+                                     f"counts: {name} has {len(arr)} rows, line "
+                                     f"{line0} has {rows0}")
             samples.append(PoseSample(pose2d=pose2d, pose3d=pose3d, mesh=mesh,
                                       camera=rec.get("camera")))
     if not samples:
         raise ValueError(f"dataset {path}: no samples")
-    js = {s.pose2d.shape[0] for s in samples}
-    if len(js) != 1:
-        raise ValueError(f"dataset {path}: inconsistent joint counts {sorted(js)}")
     return samples
 
 

@@ -92,6 +92,12 @@ class BatchNorm1d(Module):
     them) and updates the running estimates with momentum 0.1; eval mode
     uses the frozen running estimates. Training on a batch of one is an
     error because the batch variance collapses.
+
+    One "batch_norm" tape entry. Its backward is the closed form (Ioffe &
+    Szegedy, 2015), dx = gamma / sigma * (g - mean(g) - xhat * mean(g *
+    xhat)) in training mode and g * gamma / sigma in eval mode, evaluated
+    in the order of the elementwise op chain it replaces: training runs
+    stay bit-identical to that chain's.
     """
 
     def __init__(self, n: int, dtype=np.float32):
@@ -104,25 +110,41 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.n:
             raise T.ShapeError("batchnorm", x.shape, (self.n,))
+        dtype = T._check_dtype("batch_norm", x, self.gamma, self.beta)
         b = x.shape[0]
         if training:
             if b < 2:
                 raise ValueError("batchnorm: training mode needs batch size >= 2")
-            mean = T.reduce_mean(x, axis=0, keepdims=True)
-            centered = T.sub(x, mean)
-            var = T.reduce_mean(T.mul(centered, centered), axis=0, keepdims=True)
-            denom = T.sqrt(T.scalar_add(var, BN_EPS))
-            m = x.data.mean(axis=0, keepdims=True)
-            v = x.data.var(axis=0, keepdims=True) * (b / (b - 1))  # unbiased
+            mean = x.data.mean(axis=0, keepdims=True)
+            centered = x.data - mean
+            var = (centered * centered).mean(axis=0, keepdims=True)
+            sigma = np.sqrt(var + BN_EPS)
             self.running_mean = ((1 - BN_MOMENTUM) * self.running_mean
-                                 + BN_MOMENTUM * m).astype(x.data.dtype)
+                                 + BN_MOMENTUM * mean).astype(dtype)
             self.running_var = ((1 - BN_MOMENTUM) * self.running_var
-                                + BN_MOMENTUM * v).astype(x.data.dtype)
+                                + BN_MOMENTUM * (var * (b / (b - 1)))).astype(dtype)
         else:
-            centered = T.sub(x, Tensor(self.running_mean, dtype=x.dtype))
-            denom = Tensor(np.sqrt(self.running_var.astype(np.float64) + BN_EPS),
-                           dtype=x.dtype)
-        return T.add(T.mul(T.div(centered, denom), self.gamma), self.beta)
+            centered = x.data - self.running_mean.astype(dtype, copy=False)
+            sigma = np.sqrt(self.running_var.astype(np.float64) + BN_EPS).astype(dtype)
+        xhat = centered / sigma
+        gamma = self.gamma.data
+        out = xhat * gamma + self.beta.data
+
+        def bw(g, needs):
+            gx = g * gamma
+            dx = gx / sigma
+            if training:  # through the batch variance (var = mean(c * c)), then mean
+                gx *= xhat
+                gx /= sigma
+                t = np.multiply(-gx.sum(axis=0, keepdims=True) * (0.5 / sigma) / b,
+                                centered, out=gx)
+                dx += t
+                dx += t
+                dx += -dx.sum(axis=0, keepdims=True) / b
+            return (dx, (g * xhat).sum(axis=0, keepdims=True),
+                    g.sum(axis=0, keepdims=True))
+
+        return T._apply("batch_norm", (x, self.gamma, self.beta), out, bw)
 
 
 def dropout(x: Tensor, p: float, training: bool,

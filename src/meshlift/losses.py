@@ -72,21 +72,41 @@ def joint_loss(pred_mesh: Tensor, regressor: np.ndarray, gt_joints) -> Tensor:
     return _l1_mean_over_batch(joints, gt_joints)
 
 
-def _face_edge_indices(faces: np.ndarray):
-    """Index pairs (a, b) for the three directed edges of every face."""
+def face_edges(verts: Tensor, faces: np.ndarray) -> Tensor:
+    """Directed edge vectors verts[b] - verts[a] of every face, as one taped op.
+
+    verts is (V, ...); the 3F edges (a, b) are the face corners (0, 1),
+    then (1, 2), then (2, 0), each set in face order. The backward is a
+    segment sum: a stable argsort of the 6F endpoints groups each vertex's
+    signed edge gradients, which np.add.reduceat then sums.
+    """
     f = np.asarray(faces, dtype=np.int64)
-    pairs = [(f[:, 0], f[:, 1]), (f[:, 1], f[:, 2]), (f[:, 2], f[:, 0])]
-    return pairs
+    ia, ib = f.T.ravel(), np.roll(f, -1, axis=1).T.ravel()
+    shape = verts.shape
+
+    def bw(g, needs):
+        ends = np.concatenate((ib, ia))
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        starts = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
+        # endpoint k < 3F is edge k's end (+g), k >= 3F edge k - 3F's start (-g)
+        signed = g[order % ia.size]
+        np.negative(signed, out=signed,
+                    where=(order >= ia.size).reshape((-1,) + (1,) * (g.ndim - 1)))
+        acc = np.zeros(shape, dtype=g.dtype)
+        acc[ends[starts]] = np.add.reduceat(signed, starts, axis=0)
+        return (acc,)
+
+    return T._apply("face_edges", (verts,), verts.data[ib] - verts.data[ia], bw)
 
 
-def _gt_face_normals(gt: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Unit face normals per sample, (B, F, 3); degenerate faces become 0."""
-    v = np.asarray(gt, dtype=np.float64)
-    a, b, c = (v[:, faces[:, 0]], v[:, faces[:, 1]], v[:, faces[:, 2]])
-    n = np.cross(b - a, c - a)
-    mag = np.linalg.norm(n, axis=2, keepdims=True)
-    unit = np.divide(n, mag, out=np.zeros_like(n), where=mag >= DEGENERATE_FACE_EPS)
-    return unit
+def _surface_edges(pred_mesh: Tensor, gt_mesh, faces: np.ndarray):
+    """face_edges of the (B, V, 3) prediction, taped, and of the ground
+    truth in float64: both (3F, B, 3)."""
+    gt = gt_mesh.data if isinstance(gt_mesh, Tensor) else np.asarray(gt_mesh)
+    gt = Tensor(gt.transpose(1, 0, 2), dtype=np.float64)
+    return (face_edges(T.transpose(pred_mesh, (1, 0, 2)), faces),
+            face_edges(gt, faces).data)
 
 
 def normal_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
@@ -96,39 +116,23 @@ def normal_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
     ground-truth unit normal. Degenerate gt faces drop out via a zero
     normal; near-zero predicted edges drop out via the normalize guard.
     """
-    gt = gt_mesh.data if isinstance(gt_mesh, Tensor) else np.asarray(gt_mesh)
-    b = pred_mesh.shape[0]
-    dtype = pred_mesh.data.dtype
-    faces = np.asarray(faces, dtype=np.int64)
-    normals = _gt_face_normals(gt, faces).transpose(1, 0, 2)  # (F, B, 3)
-    n_const = Tensor(np.ascontiguousarray(normals), dtype=dtype)
-    verts = T.transpose(pred_mesh, (1, 0, 2))  # (V, B, 3)
-    total = None
-    for ia, ib in _face_edge_indices(faces):
-        edge = T.sub(T.gather_rows(verts, ib), T.gather_rows(verts, ia))
-        unit = T.normalize_last(edge, eps=DEGENERATE_EDGE_EPS)
-        dot = T.reduce_sum(T.mul(unit, n_const), axis=2)
-        term = T.reduce_sum(T.absolute(dot))
-        total = term if total is None else T.add(total, term)
-    return T.scalar_mul(total, 1.0 / b)
+    edges, gt_edges = _surface_edges(pred_mesh, gt_mesh, faces)
+    ab, _, ca = np.split(gt_edges, 3)  # edge k * F + i belongs to face i
+    n = np.cross(ab, -ca)  # (b - a) x (c - a), (F, B, 3)
+    mag = np.linalg.norm(n, axis=2, keepdims=True)
+    n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= DEGENERATE_FACE_EPS)
+    n_const = Tensor(np.tile(n, (3, 1, 1)), dtype=pred_mesh.dtype)
+    unit = T.normalize_last(edges, eps=DEGENERATE_EDGE_EPS)
+    dot = T.reduce_sum(T.mul(unit, n_const), axis=2)
+    return T.scalar_mul(T.reduce_sum(T.absolute(dot)), 1.0 / pred_mesh.shape[0])
 
 
 def edge_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
     """Edge-length consistency: | ||e|| - ||e*|| | over the face edges."""
-    gt = gt_mesh.data if isinstance(gt_mesh, Tensor) else np.asarray(gt_mesh)
-    gt = np.asarray(gt, dtype=np.float64).transpose(1, 0, 2)  # (V, B, 3)
-    b = pred_mesh.shape[0]
-    dtype = pred_mesh.data.dtype
-    faces = np.asarray(faces, dtype=np.int64)
-    verts = T.transpose(pred_mesh, (1, 0, 2))
-    total = None
-    for ia, ib in _face_edge_indices(faces):
-        edge = T.sub(T.gather_rows(verts, ib), T.gather_rows(verts, ia))
-        length = T.norm_last(edge)  # (F, B)
-        gt_len = np.linalg.norm(gt[ib] - gt[ia], axis=2)
-        term = T.reduce_sum(T.absolute(T.sub(length, Tensor(gt_len, dtype=dtype))))
-        total = term if total is None else T.add(total, term)
-    return T.scalar_mul(total, 1.0 / b)
+    edges, gt_edges = _surface_edges(pred_mesh, gt_mesh, faces)
+    gt_len = Tensor(np.linalg.norm(gt_edges, axis=2), dtype=pred_mesh.dtype)
+    diff = T.sub(T.norm_last(edges), gt_len)  # (3F, B)
+    return T.scalar_mul(T.reduce_sum(T.absolute(diff)), 1.0 / pred_mesh.shape[0])
 
 
 def compute_mesh_losses(pred_mesh: Tensor, gt_mesh, gt_joints,

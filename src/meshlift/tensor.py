@@ -4,15 +4,16 @@ Training math runs in float32; the numerical oracles (gradient checks,
 spectral cross-checks) run the same ops in float64. Gradients are only
 recorded while a Tape is active, so eval-mode forwards stay pure.
 
-Broadcasting has one rule: add, sub, mul and div take operands of equal
+Broadcasting has one rule: add, sub and mul take operands of equal
 shape, or one operand whose leading axis is 1 and whose other axes equal
-the other's (a bias, a batch statistic, a root joint), which is used for
+the other's (a bias, a root joint), which is used for
 every row; its gradient is the op's gradient summed over axis 0. matmul
 is strictly 2-D. Every other batched layout is expressed through
 explicit reshape / transpose / gather ops, so every recorded op keeps a
-direct, auditable backward rule. The fused graph primitives
-(graphs.chebyshev_conv, coarsen.upsample_features) record one entry each
-through _apply, with their own backward rule.
+direct, auditable backward rule. The fused primitives
+(graphs.chebyshev_conv, coarsen.upsample_features, layers.BatchNorm1d's
+batch_norm and losses.face_edges) record one entry each through _apply,
+with their own backward rule.
 """
 
 from __future__ import annotations
@@ -31,20 +32,16 @@ __all__ = [
     "add",
     "backward",
     "concat",
-    "div",
     "gather_rows",
     "gradient_check",
     "matmul",
     "mul",
     "norm_last",
     "normalize_last",
-    "reduce_mean",
     "reduce_sum",
     "relu",
     "reshape",
-    "scalar_add",
     "scalar_mul",
-    "sqrt",
     "sub",
     "transpose",
 ]
@@ -223,19 +220,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("mul", (a, b), ad * bd, bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_pair("div", a, b)
-    ad, bd = a.data, b.data
-    out = ad / bd
-
-    def bw(g, needs):
-        ga = _unbroadcast(g / bd, ad.shape) if needs[0] else None
-        gb = _unbroadcast(-(g * out) / bd, bd.shape) if needs[1] else None
-        return (ga, gb)
-
-    return _apply("div", (a, b), out, bw)
-
-
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     _check_tensor("scalar_mul", a)
     c = float(c)
@@ -244,16 +228,6 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
         return (g * c if needs[0] else None,)
 
     return _apply("scalar_mul", (a,), a.data * c, bw)
-
-
-def scalar_add(a: Tensor, c: float) -> Tensor:
-    _check_tensor("scalar_add", a)
-    c = float(c)
-
-    def bw(g, needs):
-        return (g if needs[0] else None,)
-
-    return _apply("scalar_add", (a,), a.data + c, bw)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -275,20 +249,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (ad > 0) if needs[0] else None,)
 
     return _apply("relu", (a,), np.maximum(ad, 0), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    _check_tensor("sqrt", a)
-    out = np.sqrt(a.data)
-
-    def bw(g, needs):
-        if not needs[0]:
-            return (None,)
-        d = np.zeros_like(out)
-        np.divide(0.5, out, out=d, where=out > 0)  # subgradient 0 at 0
-        return (g * d,)
-
-    return _apply("sqrt", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +345,6 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         return (np.broadcast_to(g, shape),)
 
     return _apply("reduce_sum", (a,), out, bw)
-
-
-def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    _check_tensor("reduce_mean", a)
-    shape = a.shape
-    if axis is not None:
-        axis = int(axis) % a.ndim
-    n = a.size if axis is None else shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g, needs):
-        if not needs[0]:
-            return (None,)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / n,)
-
-    return _apply("reduce_mean", (a,), out, bw)
 
 
 def norm_last(a: Tensor) -> Tensor:

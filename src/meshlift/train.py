@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig, check_checkpoint_config, checkpoint_config
 from .coarsen import graclus_coarsen
-from .data import normalize_2d_pose, synthesize_pose_errors
+from .data import check_sample_shapes, normalize_2d_pose, synthesize_pose_errors
 from .graphs import build_mesh_graph, build_pose_graph
 from .io import load_checkpoint, save_checkpoint
 from .losses import compute_mesh_losses, pose_loss, total_mesh_loss
@@ -177,8 +177,6 @@ def assemble_batch(samples, idxs, synth_cfg, symmetry_pairs, rng, *,
         x2d.append(norm)
         gt3d.append(s.pose3d)
         if need_mesh:
-            if s.mesh is None:
-                raise ValueError("training on meshes requires samples with mesh")
             mesh.append(s.mesh)
     x2d = np.stack(x2d)
     gt3d = np.stack(gt3d)
@@ -265,9 +263,8 @@ def _check_finite(parts: dict, epoch: int, it: int) -> None:
 
 def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     """Pre-train the 2D->3D lifter; emits a per-epoch mean loss trace."""
-    if not samples:
-        raise ValueError("train_posenet: empty dataset")
     template = build_tube_body(cfg.template)
+    check_sample_shapes(samples, template)
     posenet = _build_posenet(cfg, template)
     tc = cfg.train
     opt = RMSprop(posenet.named_parameters(), lr=tc.stage1_lr)
@@ -319,10 +316,9 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
 def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                max_iterations: int | None = None) -> TrainResult:
     """End-to-end training of lifter + mesh regressor from a stage-1 start."""
-    if not samples:
-        raise ValueError("train_full: empty dataset")
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")
+    check_sample_shapes(samples, build_tube_body(cfg.template))
     # a stage-1 checkpoint has no mesh weights: the mesh regressor then
     # starts from its fresh initialization
     (template, _, _, posenet, meshnet), restored = \

@@ -142,6 +142,12 @@ class TestGradcheck:
         assert "FAIL" not in out
         assert out.count(" ok") >= 14
 
+    def test_batch_norm_checks_cover_every_input(self, workspace, capsys):
+        main(["gradcheck", "--config", str(workspace["cfg"])])
+        names = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        assert {"layer.batch_norm", "layer.batch_norm.gamma",
+                "layer.batch_norm.beta", "layer.batch_norm.eval"} <= names
+
 
 class TestTrainOutputs:
     def test_stage1_artifacts(self, workspace):
@@ -241,6 +247,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert "mismatch" in err
+
+    def test_export_rejects_meshes_that_do_not_fit_the_template(
+            self, workspace, tmp_path, capsys):
+        lines = (workspace["data"] / "dataset.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            rec["mesh"] = rec["mesh"][:-1]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        v = len(records[0]["mesh"])
+        rc = main(["export-obj", "--config", str(workspace["cfg"]),
+                   "--dataset", str(bad), "--out", str(tmp_path / "m.obj")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"sample 0: mesh has {v} vertices but the template has {v + 1}" in err
 
     def test_index_out_of_range(self, workspace, tmp_path, capsys):
         rc = main(["infer", "--config", str(workspace["cfg"]), "--seed", "3",

@@ -1,5 +1,7 @@
 """Input modes, report structure, and determinism of evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,30 @@ def setup():
     template, samples = generate_synthetic_dataset(cfg.template, 6, seed=3)
     _, _, _, posenet, meshnet = build_models(cfg)
     return cfg, template, samples, posenet, meshnet
+
+
+def drop_last_vertex(samples, index):
+    """A copy of samples with one vertex cut from every mesh from index on."""
+    return [replace(s, mesh=s.mesh[:-1]) if i >= index else s
+            for i, s in enumerate(samples)]
+
+
+class TestSampleShapes:
+    def test_run_evaluation_names_sample_and_counts(self, setup):
+        cfg, template, samples, posenet, meshnet = setup
+        bad = drop_last_vertex(samples, 2)
+        v = template.num_vertices
+        with pytest.raises(ValueError, match=f"sample 2: mesh has {v - 1} "
+                                             f"vertices but the template has {v}"):
+            run_evaluation(cfg, template, posenet, meshnet, bad)
+
+    def test_joint_count(self, setup):
+        cfg, template, samples, posenet, meshnet = setup
+        bad = [replace(s, pose3d=s.pose3d[:-1]) for s in samples]
+        j = template.num_joints
+        with pytest.raises(ValueError, match=f"sample 0: pose3d has {j - 1} "
+                                             f"joints but the template has {j}"):
+            run_evaluation(cfg, template, posenet, meshnet, bad)
 
 
 class TestPredict:

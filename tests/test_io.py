@@ -98,6 +98,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="inconsistent joint counts"):
             load_dataset(p)
 
+    def test_mesh_vertex_count_differs_from_first_mesh(self, tmp_path):
+        def rec(v):
+            return json.dumps({"pose2d": [[0, 0]] * 2, "pose3d": [[0, 0, 0]] * 2,
+                               "mesh": [[0, 0, 0]] * v})
+        p = tmp_path / "d.jsonl"
+        p.write_text("\n".join([rec(176), rec(176), rec(175)]) + "\n")
+        with pytest.raises(ValueError, match=r"d.jsonl:3: inconsistent vertex counts: "
+                                             r"mesh has 175 rows, line 1 has 176"):
+            load_dataset(p)
+
     def test_empty_dataset(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("\n")

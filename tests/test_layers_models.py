@@ -125,6 +125,138 @@ class TestBatchNorm:
         assert rep.max_rel_err < 1e-6
 
 
+def chain_batch_norm(bn, x, training):
+    """Batch norm as the chain of elementwise ops it was once taped as:
+    (x - mean) / sqrt(var + eps) * gamma + beta, the batch variance taken
+    as mean((x - mean)^2), the running variance updated from np.var."""
+    xd = x.data
+    b = xd.shape[0]
+    if training:
+        mean = xd.mean(axis=0, keepdims=True)
+        centered = xd - mean
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        denom = np.sqrt(var + L.BN_EPS)
+        v = xd.var(axis=0, keepdims=True) * (b / (b - 1))
+        running = (((1 - L.BN_MOMENTUM) * bn.running_mean
+                    + L.BN_MOMENTUM * mean).astype(xd.dtype),
+                   ((1 - L.BN_MOMENTUM) * bn.running_var
+                    + L.BN_MOMENTUM * v).astype(xd.dtype))
+    else:
+        centered = xd - bn.running_mean.astype(xd.dtype)
+        denom = np.sqrt(bn.running_var.astype(np.float64) + L.BN_EPS).astype(xd.dtype)
+        running = (bn.running_mean, bn.running_var)
+    return centered / denom * bn.gamma.data + bn.beta.data, running
+
+
+def chain_batch_norm_grads(bn, x, g, training):
+    """(dx, dgamma, dbeta) of that chain for the output gradient g, op by
+    op in reverse order, each by the backward rule it was taped with."""
+    xd, gamma = x.data, bn.gamma.data
+    n = xd.shape[0]
+    if training:
+        centered = xd - xd.mean(axis=0, keepdims=True)
+        denom = np.sqrt((centered * centered).mean(axis=0, keepdims=True) + L.BN_EPS)
+    else:
+        centered = xd - bn.running_mean.astype(xd.dtype)
+        denom = np.sqrt(bn.running_var.astype(np.float64) + L.BN_EPS).astype(xd.dtype)
+    q = centered / denom
+    dbeta = g.sum(axis=0, keepdims=True)                  # add(m, beta)
+    g_q = g * gamma                                       # mul(q, gamma)
+    dgamma = (g * q).sum(axis=0, keepdims=True)
+    g_c = g_q / denom                                     # div(centered, denom)
+    if not training:
+        return g_c, dgamma, dbeta                         # sub(x, constant)
+    g_denom = (-(g_q * q) / denom).sum(axis=0, keepdims=True)
+    g_var = g_denom * (0.5 / denom)                       # sqrt, scalar_add
+    g_sq = np.broadcast_to(g_var, xd.shape) / n           # reduce_mean
+    g_c = (g_c + g_sq * centered) + g_sq * centered       # mul(centered, centered)
+    g_mean = (-g_c).sum(axis=0, keepdims=True)            # sub(x, mean)
+    dx = g_c + np.broadcast_to(g_mean, xd.shape) / n      # reduce_mean(x)
+    return dx, dgamma, dbeta
+
+
+# (rows, features) of every batch norm input in the desk and dense-body
+# stage-2 steps (batch 32 and 8), and of the lifter's hidden layers
+BN_SHAPES = [(208 * 32, 64), (104 * 32, 64), (52 * 32, 32), (26 * 32, 32),
+             (12 * 32, 32), (1944 * 8, 64), (972 * 8, 64), (12 * 8, 32),
+             (32, 1024), (8, 1024)]
+
+
+class TestBatchNormOp:
+    def make(self, n, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        bn = L.BatchNorm1d(n, dtype=dtype)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, (1, n))
+        bn.beta.data[:] = rng.uniform(-0.3, 0.3, (1, n))
+        bn.running_mean[:] = rng.uniform(-1.0, 1.0, (1, n))
+        bn.running_var[:] = rng.uniform(0.5, 2.0, (1, n))
+        return bn
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_float32_equals_chain_formula(self, shape, training):
+        bn = self.make(shape[1], np.float32)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(0.4, 3.0, shape).astype(np.float32))
+        want, (want_mean, want_var) = chain_batch_norm(bn, x, training)
+        out = bn.forward(x, training)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(bn.running_mean, want_mean)
+        np.testing.assert_array_equal(bn.running_var, want_var)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", BN_SHAPES[::3], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_float32_gradients_equal_chain_backward(self, shape, training):
+        bn = self.make(shape[1], np.float32)
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(0.4, 3.0, shape).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal(shape).astype(np.float32)
+        want = chain_batch_norm_grads(bn, x, g, training)
+        with Tape():
+            loss = T.reduce_sum(T.mul(bn.forward(x, training), Tensor(g)))
+        T.backward(loss)
+        for got, ref in zip((x.grad, bn.gamma.grad, bn.beta.grad), want):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_one_tape_entry(self, training):
+        bn = self.make(4, np.float32)
+        x = Tensor(np.random.default_rng(2).standard_normal((6, 4)),
+                   requires_grad=True, dtype=np.float32)
+        with Tape() as tape:
+            bn.forward(x, training)
+        assert [e[0] for e in tape.entries] == ["batch_norm"]
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
+    def test_gradcheck_every_input(self, wrt, training):
+        bn = self.make(3, np.float64, seed=4)
+        x0 = np.random.default_rng(5).standard_normal((5, 3))
+        w = Tensor(np.random.default_rng(6).standard_normal((5, 3)), dtype=np.float64)
+
+        def f(t):
+            if wrt == "x":
+                return T.reduce_sum(T.mul(bn.forward(t, training), w))
+            saved = getattr(bn, wrt)
+            setattr(bn, wrt, t)
+            try:
+                return T.reduce_sum(T.mul(
+                    bn.forward(Tensor(x0, dtype=np.float64), training), w))
+            finally:
+                setattr(bn, wrt, saved)
+
+        start = x0 if wrt == "x" else getattr(bn, wrt).data
+        rep = T.gradient_check(f, Tensor(start, dtype=np.float64))
+        assert rep.max_rel_err < 1e-6, rep.max_rel_err
+
+    def test_dtype_mismatch(self):
+        bn = L.BatchNorm1d(2, dtype=np.float32)
+        with pytest.raises(ValueError, match="batch_norm: dtype"):
+            bn.forward(Tensor(np.ones((3, 2)), dtype=np.float64), training=True)
+
+
 class TestDropout:
     def test_eval_identity(self):
         x = Tensor(np.ones((4, 4)))

@@ -6,8 +6,8 @@ import pytest
 from meshlift import tensor as T
 from meshlift.config import from_dict
 from meshlift.losses import (LossWeights, compute_mesh_losses, edge_loss,
-                             joint_loss, normal_loss, pose_loss, total_mesh_loss,
-                             vertex_loss)
+                             face_edges, joint_loss, normal_loss, pose_loss,
+                             total_mesh_loss, vertex_loss)
 from meshlift.template import TubeBodySpec, build_tube_body, euler_rotation
 from meshlift.data import generate_synthetic_dataset
 from meshlift.tensor import Tensor
@@ -113,6 +113,93 @@ class TestIdentitiesAtGroundTruth:
         e20 = (pred.data[0, 0] - pred.data[0, 2])
         expect = sum(abs(e[2] / np.linalg.norm(e)) for e in (e12, e20))
         assert val == pytest.approx(expect, abs=1e-12)
+
+
+def per_edge_set_losses(pred, gt, faces):
+    """(normal, edge) loss as the per-edge-set loop they were once taped as:
+    the three corner pairs one after another, each summed on its own."""
+    b = len(pred)
+    a0, a1, a2 = (gt[:, faces[:, k]] for k in range(3))
+    n = np.cross(a1 - a0, a2 - a0)
+    mag = np.linalg.norm(n, axis=2, keepdims=True)
+    n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= 1e-12)
+    normal = edge = 0.0
+    for ka, kb in ((0, 1), (1, 2), (2, 0)):
+        e = pred[:, faces[:, kb]] - pred[:, faces[:, ka]]
+        r = np.linalg.norm(e, axis=2, keepdims=True)
+        unit = np.divide(e, r, out=np.zeros_like(e), where=r >= 1e-8)
+        normal += np.abs((unit * n).sum(axis=2)).sum()
+        gt_len = np.linalg.norm(gt[:, faces[:, kb]] - gt[:, faces[:, ka]], axis=2)
+        edge += np.abs(r[..., 0] - gt_len).sum()
+    return normal / b, edge / b
+
+
+class TestOneEdgePass:
+    """One pass over the 3F face edges sums in another order than the
+    per-edge-set loop: equal to float64 rounding, and within a float32
+    tolerance of the float64 loop."""
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_losses_equal_per_edge_set_loop_on_desk_body(self, dtype, rtol):
+        template, samples = generate_synthetic_dataset(TubeBodySpec(), 4, seed=2)
+        gt = np.stack([s.mesh for s in samples])
+        pred = gt + np.random.default_rng(3).normal(0.0, 5.0, gt.shape)
+        pred_t = Tensor(pred.astype(dtype), dtype=dtype)
+        want_normal, want_edge = per_edge_set_losses(pred_t.data.astype(np.float64),
+                                                      gt, template.faces)
+        got_normal = normal_loss(pred_t, gt, template.faces).item()
+        got_edge = edge_loss(pred_t, gt, template.faces).item()
+        assert got_normal == pytest.approx(want_normal, rel=rtol)
+        assert got_edge == pytest.approx(want_edge, rel=rtol)
+
+
+class TestFaceEdges:
+    def test_forward_stacks_the_three_edge_sets(self):
+        verts = np.random.default_rng(0).standard_normal((5, 2, 3))
+        f = TETRA_FACES
+        out = face_edges(Tensor(verts, dtype=np.float64), f)
+        want = np.concatenate([verts[f[:, 1]] - verts[f[:, 0]],
+                               verts[f[:, 2]] - verts[f[:, 1]],
+                               verts[f[:, 0]] - verts[f[:, 2]]])
+        np.testing.assert_array_equal(out.data, want)
+
+    def test_backward_equals_incidence_transpose_on_desk_body(self):
+        """d(sum <g, face_edges(V)>)/dV = D^T g for the signed (3F, V)
+        incidence matrix D: +1 at each edge's end, -1 at its start."""
+        template = build_tube_body(TubeBodySpec())
+        f, nv = template.faces, template.num_vertices
+        nf = len(f)
+        rng = np.random.default_rng(1)
+        verts = Tensor(rng.standard_normal((nv, 4, 3)), requires_grad=True,
+                       dtype=np.float64)
+        g = rng.standard_normal((3 * nf, 4, 3))
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(face_edges(verts, f), Tensor(g)))
+        assert [e[0] for e in tape.entries].count("face_edges") == 1
+        T.backward(loss)
+        d = np.zeros((3 * nf, nv))
+        for k in range(3):
+            rows = np.arange(k * nf, (k + 1) * nf)
+            d[rows, f[:, (k + 1) % 3]] += 1.0
+            d[rows, f[:, k]] -= 1.0
+        want = (d.T @ g.reshape(3 * nf, -1)).reshape(verts.shape)
+        np.testing.assert_allclose(verts.grad, want, rtol=0, atol=1e-12)
+
+    def test_vertex_outside_every_face_gets_zero_gradient(self):
+        x = Tensor(np.ones((5, 3)), requires_grad=True, dtype=np.float64)
+        with T.Tape():
+            loss = T.reduce_sum(face_edges(x, TETRA_FACES))
+        T.backward(loss)
+        np.testing.assert_array_equal(x.grad[4], 0.0)
+
+    def test_gradcheck(self):
+        w = Tensor(np.random.default_rng(2).standard_normal((12, 2, 3)),
+                   dtype=np.float64)
+        rep = T.gradient_check(
+            lambda x: T.reduce_sum(T.mul(face_edges(x, TETRA_FACES), w)),
+            Tensor(np.random.default_rng(3).standard_normal((4, 2, 3)),
+                   dtype=np.float64))
+        assert rep.max_rel_err < 1e-6, rep.max_rel_err
 
 
 class TestTotal:

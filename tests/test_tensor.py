@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshlift import tensor as T
@@ -32,7 +32,6 @@ class TestForwardValues:
         np.testing.assert_allclose(T.add(a, b).data, [[6, 8], [10, 12]])
         np.testing.assert_allclose(T.sub(a, b).data, [[-4, -4], [-4, -4]])
         np.testing.assert_allclose(T.mul(a, b).data, [[5, 12], [21, 32]])
-        np.testing.assert_allclose(T.div(b, a).data, [[5, 3], [7 / 3, 2]])
 
     def test_matmul(self):
         a = Tensor(np.array([[1.0, 2.0]]))
@@ -42,20 +41,17 @@ class TestForwardValues:
     def test_scalar_ops(self):
         a = Tensor(np.array([1.0, -2.0]))
         np.testing.assert_allclose(T.scalar_mul(a, 3.0).data, [3, -6])
-        np.testing.assert_allclose(T.scalar_add(a, 1.0).data, [2, -1])
         np.testing.assert_allclose(T.scalar_mul(a, -1.0).data, [-1, 2])
 
     def test_reductions(self):
         a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
         assert T.reduce_sum(a).item() == 15.0
         np.testing.assert_allclose(T.reduce_sum(a, axis=0).data, [3, 5, 7])
-        np.testing.assert_allclose(T.reduce_mean(a, axis=1).data, [1, 4])
 
     def test_abs_relu_sqrt(self):
         a = Tensor(np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_allclose(T.absolute(a).data, [2, 0, 3])
         np.testing.assert_allclose(T.relu(a).data, [0, 0, 3])
-        np.testing.assert_allclose(T.sqrt(Tensor(np.array([4.0, 9.0]))).data, [2, 3])
 
     def test_norm_last(self):
         a = Tensor(np.array([[3.0, 4.0], [0.0, 0.0]]))
@@ -75,7 +71,6 @@ class TestForwardValues:
         np.testing.assert_allclose(T.add(a, b).data, [[8, 10], [10, 12]])
         np.testing.assert_allclose(T.sub(b, a).data, [[6, 6], [4, 4]])
         np.testing.assert_allclose(T.mul(a, b).data, [[7, 16], [21, 32]])
-        np.testing.assert_allclose(T.div(b, a).data, [[7, 4], [7 / 3, 2]])
 
     def test_concat_transpose_reshape(self):
         a = Tensor(np.array([[1.0, 2.0]]))
@@ -99,7 +94,7 @@ class TestErrors:
         with pytest.raises(ShapeError, match="matmul"):
             T.matmul(a, a)
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     @pytest.mark.parametrize("other", [(3, 1), (2, 4), (4,), (1, 1, 4)])
     def test_only_one_row_operands_broadcast(self, op, other):
         a = Tensor(np.ones((3, 4)))
@@ -220,10 +215,7 @@ PRIMITIVE_CASES = [
     ("add", lambda x: T.reduce_sum(T.add(x, Tensor(rand(3, 4, seed=9)))), (3, 4)),
     ("sub", lambda x: T.reduce_sum(T.sub(Tensor(rand(3, 4, seed=9)), x)), (3, 4)),
     ("mul", lambda x: T.reduce_sum(T.mul(x, Tensor(rand(3, 4, seed=9)))), (3, 4)),
-    ("div_num", lambda x: T.reduce_sum(T.div(x, Tensor(rand(3, 4, seed=9) + 3.0))), (3, 4)),
-    ("div_den", lambda x: T.reduce_sum(T.div(Tensor(rand(3, 4, seed=9)), T.scalar_add(T.mul(x, x), 1.0))), (3, 4)),
     ("scalar_mul", lambda x: T.reduce_sum(T.scalar_mul(x, -1.7)), (5,)),
-    ("scalar_add", lambda x: T.reduce_sum(T.scalar_add(x, 0.3)), (5,)),
     ("matmul_a", lambda x: T.reduce_sum(T.matmul(x, Tensor(rand(4, 2, seed=9)))), (3, 4)),
     ("matmul_b", lambda x: T.reduce_sum(T.matmul(Tensor(rand(2, 3, seed=9)), x)), (3, 4)),
     ("transpose", lambda x: T.reduce_sum(T.mul(T.transpose(x), Tensor(rand(4, 3, seed=9)))), (3, 4)),
@@ -232,10 +224,8 @@ PRIMITIVE_CASES = [
     ("concat", lambda x: T.reduce_sum(T.mul(T.concat([x, x], axis=1), Tensor(rand(3, 8, seed=9)))), (3, 4)),
     ("sum_axis", lambda x: T.reduce_sum(T.mul(T.reduce_sum(x, axis=0), Tensor(rand(4, seed=9)))), (3, 4)),
     ("sum_keep", lambda x: T.reduce_sum(T.mul(T.reduce_sum(x, axis=1, keepdims=True), Tensor(rand(3, 1, seed=9)))), (3, 4)),
-    ("mean_axis", lambda x: T.reduce_sum(T.mul(T.reduce_mean(x, axis=0, keepdims=True), Tensor(rand(1, 4, seed=9)))), (3, 4)),
     ("abs", lambda x: T.reduce_sum(T.absolute(x)), (3, 4)),
     ("relu", lambda x: T.reduce_sum(T.relu(x)), (3, 4)),
-    ("sqrt", lambda x: T.reduce_sum(T.sqrt(T.scalar_add(T.mul(x, x), 1.0))), (3, 4)),
     ("norm_last", lambda x: T.reduce_sum(T.norm_last(x)), (5, 3)),
     ("normalize_last", lambda x: T.reduce_sum(T.mul(T.normalize_last(x), Tensor(rand(5, 3, seed=9)))), (5, 3)),
     ("gather", lambda x: T.reduce_sum(T.mul(T.gather_rows(x, [0, 2, 2, 1]), Tensor(rand(4, 3, seed=9)))), (3, 3)),
@@ -246,8 +236,6 @@ PRIMITIVE_CASES = [
     ("sub_row_b", lambda x: T.reduce_sum(T.mul(T.sub(Tensor(rand(5, 4, seed=9)), x), Tensor(rand(5, 4, seed=8)))), (1, 4)),
     ("mul_row_a", lambda x: T.reduce_sum(T.mul(x, Tensor(rand(5, 4, seed=9)))), (1, 4)),
     ("mul_row_b", lambda x: T.reduce_sum(T.mul(Tensor(rand(5, 4, seed=9)), x)), (1, 4)),
-    ("div_row_a", lambda x: T.reduce_sum(T.div(x, Tensor(rand(5, 4, seed=9) + 3.0))), (1, 4)),
-    ("div_row_b", lambda x: T.reduce_sum(T.div(Tensor(rand(5, 4, seed=9)), T.scalar_add(T.mul(x, x), 1.0))), (1, 4)),
     # the root-joint pattern: a gathered (1, B, 3) row subtracted from its own (J, B, 3) source
     ("sub_row_3d", lambda x: T.reduce_sum(T.mul(T.sub(x, T.gather_rows(x, [2])), Tensor(rand(4, 2, 3, seed=9)))), (4, 2, 3)),
 ]
@@ -277,11 +265,17 @@ class TestGradientCheck:
     def test_nonfinite_flagged_with_coordinate(self):
         x = Tensor(np.array([0.0]), dtype=np.float64)
         with pytest.raises(ValueError, match="coordinate 0"):
-            T.gradient_check(lambda t: T.reduce_sum(T.sqrt(t)), x, epsilon=1e-2)
+            # t * sqrt(t) as a constant: analytic gradient sqrt(0) = 0, but
+            # the step to -1e-2 takes the square root of a negative number
+            T.gradient_check(
+                lambda t: T.reduce_sum(T.mul(t, Tensor(np.sqrt(t.data)))), x,
+                epsilon=1e-2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5))
+# a relu pre-activation of -2.6e-4, inside the default step of 1e-4 times |c|
+@example(seed=900, n=4, m=5)
 def test_composite_expression_gradcheck_property(seed, n, m):
     """Random composite expressions keep analytic == numeric gradients."""
     rng = np.random.default_rng(seed)
@@ -291,10 +285,16 @@ def test_composite_expression_gradcheck_property(seed, n, m):
     def f(x):
         h = T.relu(T.matmul(x, c))
         h = T.add(h, x)
-        return T.reduce_sum(T.absolute(T.scalar_add(h, 0.05)))
+        return T.reduce_sum(T.absolute(T.add(h, Tensor(np.full((1, n), 0.05)))))
 
     x = Tensor(rng.standard_normal((m, n)) + 0.2, dtype=np.float64)
-    rep = T.gradient_check(f, x)
+    # f is piecewise linear: central differences are exact only if no step
+    # carries a relu or abs argument across zero. One coordinate step of
+    # size eps moves those arguments by at most eps * (1 + max|c|).
+    z = x.data @ c.data
+    kink = min(np.abs(z).min(), np.abs(np.maximum(z, 0.0) + x.data + 0.05).min())
+    eps = min(1e-4, 0.5 * kink / (1.0 + np.abs(c.data).max()))
+    rep = T.gradient_check(f, x, epsilon=eps)
     assert rep.max_rel_err < 1e-5
 
 

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the two-stage loops, and checkpoint round trips."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
+from meshlift.evaluate import predict
 from meshlift.io import load_checkpoint
+from meshlift.layers import BN_EPS, BatchNorm1d
 from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
 from meshlift.tensor import Tape, Tensor, backward, reduce_sum, reshape
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
@@ -275,6 +278,30 @@ class TestStage2:
         assert len(calls) == 1
 
 
+class TestSampleShapes:
+    """A sample that does not fit the template is rejected, by index and
+    both counts, before any model is built or checkpoint read."""
+
+    def test_posenet_joint_count(self, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        samples[3] = replace(samples[3], pose2d=samples[3].pose2d[:-1])
+        monkeypatch.setattr(train, "_build_posenet", None)
+        j = len(samples[0].pose2d)
+        with pytest.raises(ValueError, match=f"sample 3: pose2d has {j - 1} "
+                                             f"joints but the template has {j}"):
+            train_posenet(cfg, samples)
+
+    def test_full_mesh_vertex_count(self, tmp_path):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        samples = [replace(s, mesh=s.mesh[:-1]) for s in samples]
+        v = len(samples[0].mesh) + 1
+        with pytest.raises(ValueError, match=f"sample 0: mesh has {v - 1} "
+                                             f"vertices but the template has {v}"):
+            train_full(cfg, samples, tmp_path / "no-such.ckpt")
+
+
 # A checkpoint written by the first release of the format. Its run config:
 # a tiny body, two levels, decreasing level widths and across-level skips,
 # so that filter, batch-norm and skip-projection tensors all occur.
@@ -290,11 +317,14 @@ V1_CONFIG = {
 
 def test_desk_stage2_tape_budget():
     """One desk stage-2 forward plus loss (batch 32, frozen lifter, every
-    loss term on): one-row operands enter add/sub/mul/div directly, so the
+    loss term on): one-row operands enter add/sub/mul directly, so the
     tape holds no row-tiling entries (416 entries when it did), and each
-    of the 11 graph convolutions is one entry. 375 when a convolution was
-    15 entries, or 8 for the first pose conv, whose input holds no
-    gradient: 375 - 10 * 14 - 7 = 228."""
+    of the 11 graph convolutions is one entry (375 entries when a
+    convolution was 15 entries, 228 after). Each of the 10 batch norms is
+    one entry instead of 9, and the normal and edge losses walk the face
+    edges through one face_edges entry each instead of three pairs of
+    gather_rows: 228 - 10 * 8 - 38 = 110. The one gather_rows left is
+    apply_perm."""
     cfg = resolve_config("desk")
     assert cfg.train.freeze_posenet
     template, _, _, posenet, meshnet = build_models(cfg)
@@ -314,7 +344,10 @@ def test_desk_stage2_tape_budget():
     names = [entry[0] for entry in tape.entries]
     assert "repeat_rows" not in names
     assert names.count("chebyshev_conv") == 11
-    assert len(names) <= 228
+    assert names.count("batch_norm") == 10
+    assert names.count("gather_rows") == 1
+    assert names.count("face_edges") == 2
+    assert len(names) <= 115
 
 
 class TestCheckpointV1:
@@ -325,6 +358,27 @@ class TestCheckpointV1:
                      "meshnet.head.filter.0"):
             assert name in tensors, name
         assert "meshnet.levels.0.skip_proj" not in tensors
+
+    def test_eval_mesh_output_equals_chain_batch_norm(self, monkeypatch):
+        """Eval-mode batch norm keeps the expressions of the chain of
+        elementwise ops it was once taped as, so the regressed meshes are
+        bit-identical to the ones that chain gives."""
+        cfg = resolve_config("desk", overrides=V1_CONFIG)
+        template, _, _, posenet, meshnet = load_models(V1_CHECKPOINT, cfg)
+        _, samples = generate_synthetic_dataset(cfg.template, 40, seed=5)
+        got = predict(cfg, template, posenet, meshnet, samples, "gt2d")
+
+        def chain(bn, x, training):
+            assert not training
+            centered = x.data - bn.running_mean.astype(x.dtype)
+            denom = np.sqrt(bn.running_var.astype(np.float64)
+                            + BN_EPS).astype(x.dtype)
+            return Tensor(centered / denom * bn.gamma.data + bn.beta.data)
+
+        monkeypatch.setattr(BatchNorm1d, "forward", chain)
+        want = predict(cfg, template, posenet, meshnet, samples, "gt2d")
+        np.testing.assert_array_equal(got["pred_mesh"], want["pred_mesh"])
+        np.testing.assert_array_equal(got["lifted_pose"], want["lifted_pose"])
 
     def test_loads_and_resaves_byte_identical(self, tmp_path):
         cfg = resolve_config("desk", overrides=V1_CONFIG)
