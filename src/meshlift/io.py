@@ -9,6 +9,7 @@ relative to the start of the payload block.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -54,17 +55,26 @@ def save_dataset(samples, path) -> None:
 
 
 def load_dataset(path) -> list[PoseSample]:
+    """Every malformed line raises a ValueError naming ``path:line``."""
     samples = []
     first = {}  # field -> (line, row count) of the first record that has it
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # bad JSON or bad UTF-8
                 raise ValueError(f"dataset {path}:{lineno}: invalid JSON ({e})") from e
+            if not isinstance(rec, dict):
+                raise ValueError(f"dataset {path}:{lineno}: expected a JSON object, "
+                                 f"got {type(rec).__name__}")
+            camera = rec.get("camera")
+            if camera is not None and not (isinstance(camera, dict)
+                                           and set(camera) == {"scale", "offset"}):
+                raise ValueError(f"dataset {path}:{lineno}: camera must be an object "
+                                 f"with keys scale and offset")
             unknown = set(rec) - {"pose2d", "pose3d", "mesh", "camera"}
             if unknown:
                 raise ValueError(f"dataset {path}:{lineno}: unknown keys "
@@ -72,7 +82,8 @@ def load_dataset(path) -> list[PoseSample]:
             try:
                 pose2d = np.asarray(rec["pose2d"], dtype=np.float64)
                 pose3d = np.asarray(rec["pose3d"], dtype=np.float64)
-            except (KeyError, ValueError) as e:
+                mesh = np.asarray(rec["mesh"], dtype=np.float64) if "mesh" in rec else None
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ValueError(f"dataset {path}:{lineno}: bad record ({e})") from e
             if pose2d.ndim != 2 or pose2d.shape[1] != 2:
                 raise ValueError(f"dataset {path}:{lineno}: pose2d must be (J, 2), "
@@ -80,12 +91,9 @@ def load_dataset(path) -> list[PoseSample]:
             if pose3d.shape != (pose2d.shape[0], 3):
                 raise ValueError(f"dataset {path}:{lineno}: pose3d must be "
                                  f"({pose2d.shape[0]}, 3), got {pose3d.shape}")
-            mesh = None
-            if "mesh" in rec:
-                mesh = np.asarray(rec["mesh"], dtype=np.float64)
-                if mesh.ndim != 2 or mesh.shape[1] != 3:
-                    raise ValueError(f"dataset {path}:{lineno}: mesh must be (V, 3), "
-                                     f"got {mesh.shape}")
+            if mesh is not None and (mesh.ndim != 2 or mesh.shape[1] != 3):
+                raise ValueError(f"dataset {path}:{lineno}: mesh must be (V, 3), "
+                                 f"got {mesh.shape}")
             for name, arr in (("pose2d", pose2d), ("pose3d", pose3d), ("mesh", mesh)):
                 if arr is None:
                     continue
@@ -99,7 +107,7 @@ def load_dataset(path) -> list[PoseSample]:
                                      f"counts: {name} has {len(arr)} rows, line "
                                      f"{line0} has {rows0}")
             samples.append(PoseSample(pose2d=pose2d, pose3d=pose3d, mesh=mesh,
-                                      camera=rec.get("camera")))
+                                      camera=camera))
     if not samples:
         raise ValueError(f"dataset {path}: no samples")
     return samples
@@ -134,7 +142,11 @@ def save_checkpoint(path, config: dict, tensors: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, {name: float32 array})."""
+    """Read a checkpoint; returns (config, {name: float32 array}).
+
+    Every malformed file raises a ValueError that starts with
+    ``checkpoint PATH``.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"checkpoint {path}: bad magic {raw[:4]!r}")
@@ -145,26 +157,36 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint {path}: truncated manifest")
     try:
         manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or bad JSON
         raise ValueError(f"checkpoint {path}: bad manifest ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint {path}: manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported format_version "
                          f"{manifest.get('format_version')!r}")
+    if not (isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("tensors"), list)):
+        raise ValueError(f"checkpoint {path}: manifest needs a config object "
+                         f"and a tensors list")
     payload = raw[8 + mlen:]
     tensors = {}
     spans = []  # (start, end, name) of every non-empty payload range
     for entry in manifest["tensors"]:
-        name = entry.get("name")
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ValueError(f"checkpoint {path}: tensor entry without a name")
+        name = entry["name"]
         if entry.get("dtype") != "f32":
             raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"has unsupported dtype {entry.get('dtype')!r}")
         if name in tensors:
             raise ValueError(f"checkpoint {path}: duplicate tensor {name!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["byte_offset"]
-        end = start + 4 * count
-        if start < 0 or end > len(payload):
+        shape, start = entry.get("shape"), entry.get("byte_offset")
+        if not (isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in [*shape, start])):
+            raise ValueError(f"checkpoint {path}: tensor {name!r} needs non-negative "
+                             f"integer shape and byte_offset, got {shape!r} and {start!r}")
+        end = start + 4 * math.prod(shape)
+        if end > len(payload):
             raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"payload out of range")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)

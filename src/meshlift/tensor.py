@@ -4,6 +4,15 @@ Training math runs in float32; the numerical oracles (gradient checks,
 spectral cross-checks) run the same ops in float64. Gradients are only
 recorded while a Tape is active, so eval-mode forwards stay pure.
 
+A tape keeps only what backward reads. Each entry is the 4-tuple (name,
+inputs, output, backward_fn), in which the output is the entry's own
+index on the tape and each input is the index of the entry that produced
+it, the leaf Tensor itself when it needs a gradient, or None. Tensors are
+not held, so an activation lives only as long as a backward rule keeps
+its array; backward() drops each entry and each gradient once it has
+been used, and sets .grad on leaves only. perfbench/tracer.py unpacks and
+re-wraps entries by position, so the 4-tuple layout is fixed.
+
 Broadcasting has one rule: add, sub and mul take operands of equal
 shape, or one operand whose leading axis is 1 and whose other axes equal
 the other's (a bias, a root joint), which is used for
@@ -69,7 +78,7 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple] = []  # (name, inputs, output, backward_fn)
+        self.entries: list[tuple] = []  # (name, input refs, index, backward_fn)
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -94,10 +103,11 @@ class Tensor:
     """N-d float array plus an optional gradient slot.
 
     data is always a contiguous float32 or float64 ndarray. grad, once
-    populated by backward(), has the same shape and dtype as data.
+    populated by backward() on a leaf, has the same shape and dtype as
+    data. A taped output carries its tape and its entry index there.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "index")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
@@ -109,6 +119,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
+        self.index: int | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -117,6 +128,7 @@ class Tensor:
         t.requires_grad = False
         t.grad = None
         t.tape = None
+        t.index = None
         return t
 
     @property
@@ -149,8 +161,10 @@ def _apply(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.tape = tape
-        tape.entries.append((name, inputs, out, backward_fn))
+        out.tape, out.index = tape, len(tape.entries)
+        refs = tuple(t.index if t.tape is tape else t if t.requires_grad else None
+                     for t in inputs)
+        tape.entries.append((name, refs, out.index, backward_fn))
     return out
 
 
@@ -243,12 +257,12 @@ def absolute(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     _check_tensor("relu", a)
-    ad = a.data
+    out = np.maximum(a.data, 0)
 
-    def bw(g, needs):
-        return (g * (ad > 0) if needs[0] else None,)
+    def bw(g, needs):  # out > 0 exactly where a > 0, and a can be freed
+        return (g * (out > 0) if needs[0] else None,)
 
-    return _apply("relu", (a,), np.maximum(ad, 0), bw)
+    return _apply("relu", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +332,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g, needs):
         grads = []
-        for i in range(len(ts)):
+        for i in range(len(sizes)):
             if needs[i]:
                 sl = [slice(None)] * nd
                 sl[axis] = slice(int(bounds[i]), int(bounds[i + 1]))
@@ -381,7 +395,7 @@ def normalize_last(a: Tensor, eps: float = 1e-8) -> Tensor:
         if not needs[0]:
             return (None,)
         gy = np.sum(g * out, axis=-1, keepdims=True)
-        return (np.where(ok, (g - gy * out) / safe, 0.0).astype(ad.dtype),)
+        return (np.where(ok, (g - gy * out) / safe, 0.0).astype(out.dtype),)
 
     return _apply("normalize_last", (a,), out, bw)
 
@@ -419,9 +433,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss over its recording tape.
 
-    Populates .grad on every reachable requires_grad tensor (accumulating
-    into any existing .grad). Consumes the tape and empties its entries:
-    calling backward a second time without re-running the forward raises.
+    Sets .grad on every reachable leaf that requires a gradient
+    (accumulating into any existing .grad); taped outputs get no .grad.
+    Pending gradients are kept by entry index, and the sweep pops each
+    entry and drops each gradient once it has been propagated, so memory
+    falls as the sweep runs. Consumes the tape: calling backward a second
+    time without re-running the forward raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -437,31 +454,20 @@ def backward(loss: Tensor) -> None:
             "backward: tape already consumed; re-run the forward before "
             "calling backward again")
     tape.consumed = True
-    # each taped output points back at the tape, so a tape that kept its
-    # entries would keep the step's activations alive until a cyclic GC
     entries, tape.entries = tape.entries, []
 
-    # pending[id(tensor)] = (tensor, accumulated gradient)
-    pending: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
-    for name, inputs, out, bw in reversed(entries):
-        got = pending.pop(id(out), None)
-        if got is None:
+    # accumulated gradients, keyed by entry index or by leaf Tensor
+    pending: dict = {loss.index: np.ones_like(loss.data)}
+    while entries:
+        _, refs, index, bw = entries.pop()
+        g = pending.pop(index, None)
+        if g is None:
             continue  # not an ancestor of the loss
-        g = got[1]
-        out.grad = g if out.grad is None else out.grad + g
-        needs = tuple(t.requires_grad for t in inputs)
-        in_grads = bw(g, needs)
-        for t, ig, need in zip(inputs, in_grads, needs):
-            if not need or ig is None:
-                continue
-            slot = pending.get(id(t))
-            if slot is None:
-                pending[id(t)] = [t, ig]
-            else:
-                slot[1] = slot[1] + ig
-    for t, g in pending.values():
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+        for ref, ig in zip(refs, bw(g, tuple(r is not None for r in refs))):
+            if ref is not None and ig is not None:
+                pending[ref] = pending[ref] + ig if ref in pending else ig
+    for leaf, g in pending.items():  # every entry index has been popped
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------

@@ -236,15 +236,22 @@ class _TraceWriter:
 
 
 class _GradTracker:
-    """Dead-parameter detector: which tensors ever saw a nonzero gradient."""
+    """Per-step gradient checks between backward and the update: a
+    non-finite gradient stops training, and the tracker records which
+    parameters ever saw a nonzero gradient (the dead-parameter report)."""
 
     def __init__(self, named_params):
         self.params = list(named_params)
         self.seen = {n: False for n, _ in self.params}
 
-    def observe(self):
+    def observe(self, epoch: int, it: int):
         for n, p in self.params:
-            if not self.seen[n] and p.grad is not None and np.any(p.grad != 0):
+            if p.grad is None:
+                continue
+            if not np.isfinite(p.grad).all():
+                raise ValueError(f"non-finite gradient of {n!r} at epoch {epoch}, "
+                                 f"iteration {it}")
+            if not self.seen[n] and np.any(p.grad != 0):
                 self.seen[n] = True
 
     def dead(self):
@@ -267,8 +274,9 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     check_sample_shapes(samples, template)
     posenet = _build_posenet(cfg, template)
     tc = cfg.train
-    opt = RMSprop(posenet.named_parameters(), lr=tc.stage1_lr)
-    tracker = _GradTracker(posenet.named_parameters())
+    named = [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
+    opt = RMSprop(named, lr=tc.stage1_lr)
+    tracker = _GradTracker(named)
     synth = cfg.synth if cfg.synth.enabled else None
     writer = _TraceWriter(out_dir, "trace_stage1.csv")
     n = len(samples)
@@ -294,7 +302,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
                     loss = pose_loss(out, target)
                 _check_finite({"pose": loss}, epoch, it + 1)
                 T.backward(loss)
-                tracker.observe()
+                tracker.observe(epoch, it + 1)
                 opt.step()
                 epoch_losses.append(loss.item())
                 it += 1
@@ -372,7 +380,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                     total = total_mesh_loss(parts, weights, epoch)
                 _check_finite(parts, epoch, it + 1)
                 T.backward(total)
-                tracker.observe()
+                tracker.observe(epoch, it + 1)
                 opt.step()
                 it += 1
                 writer.row(

@@ -1,15 +1,35 @@
 """Round trips and malformed-input errors for every file format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meshlift.data import PoseSample, generate_synthetic_dataset
 from meshlift.io import (CHECKPOINT_MAGIC, load_body_spec, load_checkpoint,
                          load_dataset, save_body_spec, save_checkpoint,
                          save_dataset, save_obj)
 from meshlift.template import TubeBodySpec
+
+# deterministic and small: each property runs in well under a second
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10)
+
+
+def loads_or_names(load, path, prefix):
+    """load(path) either succeeds or raises a ValueError starting with prefix;
+    any other exception propagates and fails the calling test."""
+    try:
+        load(path)
+    except ValueError as e:
+        assert str(e).startswith(prefix), str(e)
 
 
 class TestBodySpec:
@@ -113,6 +133,57 @@ class TestDataset:
         p.write_text("\n")
         with pytest.raises(ValueError, match="no samples"):
             load_dataset(p)
+
+
+class TestDatasetMalformed:
+    GOOD = {"pose2d": [[0.0, 0.0], [1.0, 1.0]], "pose3d": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+            "mesh": [[0.0, 0.0, 0.0]], "camera": {"scale": 1.0, "offset": [0.0, 0.0]}}
+
+    def write(self, path, *lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_good_record_loads(self, tmp_path):
+        (s,) = load_dataset(self.write(tmp_path / "d.jsonl", json.dumps(self.GOOD)))
+        assert s.camera == self.GOOD["camera"]
+
+    @pytest.mark.parametrize("line, match", [
+        ("3", "expected a JSON object, got int"),
+        ('[{"pose2d": []}]', "expected a JSON object, got list"),
+        (json.dumps({**GOOD, "camera": 5}), "camera must be an object"),
+        (json.dumps({**GOOD, "camera": {"scale": 1.0}}), "camera must be an object"),
+        (json.dumps({**GOOD, "pose2d": {"x": 1}}), "bad record"),
+        (json.dumps({**GOOD, "mesh": [[{}, 1, 2]]}), "bad record"),
+        ('{"pose2d": [[1e400, 0]], "pose3d": [[0, 0, 0]]}', "pose2d has non-finite"),
+    ])
+    def test_rejected_with_path_and_line(self, tmp_path, line, match):
+        p = self.write(tmp_path / "d.jsonl", json.dumps(self.GOOD), line)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'dataset {p}:2: {match}')}"):
+            load_dataset(p)
+
+    def test_bad_utf8_names_line(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(json.dumps(self.GOOD).encode() + b"\n\xff\xfe\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'dataset {p}:2: invalid JSON')}"):
+            load_dataset(p)
+
+    @PROPERTY
+    @given(value=JSON_VALUES)
+    @example(value=3)
+    @example(value=10 ** 400)
+    def test_any_json_line_loads_or_names_line(self, tmp_path_factory, value):
+        p = self.write(tmp_path_factory.mktemp("jsonl") / "d.jsonl",
+                       json.dumps(self.GOOD), json.dumps(value))
+        loads_or_names(load_dataset, p, f"dataset {p}:2: ")
+
+    @PROPERTY
+    @given(field=st.sampled_from(sorted(GOOD)), value=JSON_VALUES)
+    @example(field="camera", value=5)
+    @example(field="mesh", value=10 ** 400)
+    def test_any_json_field_loads_or_names_line(self, tmp_path_factory, field, value):
+        p = self.write(tmp_path_factory.mktemp("jsonl") / "d.jsonl",
+                       json.dumps(self.GOOD), json.dumps({**self.GOOD, field: value}))
+        loads_or_names(load_dataset, p, f"dataset {p}:2: ")
 
 
 class TestCheckpoint:
@@ -223,6 +294,60 @@ class TestCheckpoint:
         self.rewrite_manifest(p, overlap)
         with pytest.raises(ValueError, match="'a.weight' and 'a.bias' overlap"):
             load_checkpoint(p)
+
+    NEEDS = "manifest needs a config object and a tensors list"
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: [], "manifest is not a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "tensors"}, NEEDS),
+        (lambda m: {k: v for k, v in m.items() if k != "config"}, NEEDS),
+        (lambda m: {**m, "tensors": [1]}, "tensor entry without a name"),
+        (lambda m: {**m, "tensors": [{k: v for k, v in m["tensors"][0].items()
+                                      if k != "name"}]}, "tensor entry without a name"),
+        (lambda m: {**m, "tensors": [{**m["tensors"][0], "shape": [-1]}]},
+         "tensor 'a.weight' needs non-negative integer shape"),
+        (lambda m: {**m, "tensors": [{**m["tensors"][0], "shape": [3.0, 4]}]},
+         "tensor 'a.weight' needs non-negative integer shape"),
+        (lambda m: {**m, "tensors": [{**m["tensors"][0], "byte_offset": "0"}]},
+         "tensor 'a.weight' needs non-negative integer shape and byte_offset"),
+        (lambda m: {**m, "tensors": [{**m["tensors"][0], "shape": [10 ** 30]}]},
+         "tensor 'a.weight' payload out of range"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, match):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, self.tensors())
+        raw = p.read_bytes()
+        mlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        mbytes = json.dumps(edit(json.loads(raw[8:8 + mlen]))).encode("utf-8")
+        p.write_bytes(raw[:4] + len(mbytes).to_bytes(4, "little") + mbytes
+                      + raw[8 + mlen:])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'checkpoint {p}: {match}')}"):
+            load_checkpoint(p)
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("ckpt") / "valid.bin"
+        save_checkpoint(p, {"seed": 7, "widths": [64, 32]}, self.tensors())
+        return p.read_bytes()
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_any_truncation_loads_or_names_file(self, tmp_path_factory, valid, data):
+        cut = data.draw(st.integers(0, len(valid)), label="cut")
+        p = tmp_path_factory.mktemp("ckpt") / "c.bin"
+        p.write_bytes(valid[:cut])
+        loads_or_names(load_checkpoint, p, f"checkpoint {p}: ")
+
+    @PROPERTY
+    @given(data=st.data(), value=st.integers(0, 255))
+    def test_any_byte_change_loads_or_names_file(self, tmp_path_factory, valid, data,
+                                                  value):
+        at = data.draw(st.integers(0, len(valid) - 1), label="at")
+        raw = bytearray(valid)
+        raw[at] = value
+        p = tmp_path_factory.mktemp("ckpt") / "c.bin"
+        p.write_bytes(bytes(raw))
+        loads_or_names(load_checkpoint, p, f"checkpoint {p}: ")
 
     def test_float64_inputs_are_stored_as_f32(self, tmp_path):
         p = tmp_path / "c.bin"

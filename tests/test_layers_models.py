@@ -1,6 +1,8 @@
 """Layers and the two networks: shapes, modes, init, differentiability."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +257,43 @@ class TestBatchNormOp:
         bn = L.BatchNorm1d(2, dtype=np.float32)
         with pytest.raises(ValueError, match="batch_norm: dtype"):
             bn.forward(Tensor(np.ones((3, 2)), dtype=np.float64), training=True)
+
+
+class TestGraphConvBlock:
+    def test_forward_frees_conv_and_batch_norm_outputs(self, monkeypatch):
+        """batch_norm's backward reads its own centred input and relu's its
+        own output, so the tape holds neither the conv output nor the
+        batch-norm output: both are freed during the forward, by reference
+        counting alone."""
+        kept = {}
+
+        def keeping(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                owner = out.data if out.data.base is None else out.data.base
+                kept[name] = weakref.ref(owner)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(L, "chebyshev_conv", keeping("conv", L.chebyshev_conv))
+        monkeypatch.setattr(L.BatchNorm1d, "forward",
+                            keeping("bn", L.BatchNorm1d.forward))
+        rng = np.random.default_rng(0)
+        block = L.GraphConvBlock(3, 4, 2, rng, dtype=np.float64)
+        ring = np.roll(np.eye(5), 1, axis=1)
+        lap = ScaledLaplacian(table_from_dense((ring + ring.T) / 2), 2.0)
+        x = Tensor(rng.standard_normal((5, 2 * 3)), requires_grad=True,
+                   dtype=np.float64)
+        gc.disable()
+        try:
+            with Tape():
+                loss = T.reduce_sum(block.forward(x, lap, batch=2, training=True))
+            assert kept["conv"]() is None
+            assert kept["bn"]() is None
+        finally:
+            gc.enable()
+        T.backward(loss)
+        assert x.grad is not None and block.bn.gamma.grad is not None
 
 
 class TestDropout:

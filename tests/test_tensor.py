@@ -26,7 +26,7 @@ def grad_of(build, *leaves):
 
 
 class TestForwardValues:
-    def test_add_sub_mul_div(self):
+    def test_add_sub_mul(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         b = Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
         np.testing.assert_allclose(T.add(a, b).data, [[6, 8], [10, 12]])
@@ -48,7 +48,7 @@ class TestForwardValues:
         assert T.reduce_sum(a).item() == 15.0
         np.testing.assert_allclose(T.reduce_sum(a, axis=0).data, [3, 5, 7])
 
-    def test_abs_relu_sqrt(self):
+    def test_abs_relu(self):
         a = Tensor(np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_allclose(T.absolute(a).data, [2, 0, 3])
         np.testing.assert_allclose(T.relu(a).data, [0, 0, 3])
@@ -62,7 +62,7 @@ class TestForwardValues:
         out = T.normalize_last(a, eps=1e-8)
         np.testing.assert_allclose(out.data, [[0.6, 0.8], [0.0, 0.0]])
 
-    def test_gather_repeat(self):
+    def test_gather_rows_and_one_row_operands(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(T.gather_rows(a, [1, 0, 1]).data,
                                    [[3, 4], [1, 2], [3, 4]])
@@ -198,6 +198,26 @@ class TestBackwardValues:
         a = Tensor(np.ones(2), requires_grad=True)
         y = T.scalar_mul(a, 2.0)
         assert not y.requires_grad and y.tape is None
+
+    def test_only_leaves_get_grad_and_leaves_accumulate(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+        for _ in range(2):
+            with Tape():
+                h = T.mul(a, a)
+                y = T.reduce_sum(T.add(h, T.scalar_mul(a, 3.0)))
+            T.backward(y)
+            assert h.grad is None and y.grad is None
+        np.testing.assert_allclose(a.grad, 2 * (2 * a.data + 3.0))
+
+    def test_entries_refer_to_inputs_by_number(self):
+        a = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
+        c = Tensor(np.ones(2), dtype=np.float64)
+        with Tape() as tape:
+            h = T.mul(a, c)
+            y = T.reduce_sum(T.add(h, a))
+        assert (h.index, y.index) == (0, 2)
+        assert [(name, refs, index) for name, refs, index, _ in tape.entries] == [
+            ("mul", (a, None), 0), ("add", (0, a), 1), ("reduce_sum", (1,), 2)]
 
     def test_unreachable_branch_gets_no_grad(self):
         a = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)

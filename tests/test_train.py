@@ -1,11 +1,13 @@
 """Optimizer arithmetic, the two-stage loops, and checkpoint round trips."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from meshlift import tensor as T
 from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
@@ -144,6 +146,17 @@ class TestStage1:
                 np.errstate(all="ignore"):
             train_posenet(cfg, samples)
 
+    def test_non_finite_gradient_names_parameter(self, monkeypatch):
+        built = []
+        build = train._build_posenet
+        monkeypatch.setattr(train, "_build_posenet",
+                            lambda *a: built.append(build(*a)) or built[-1])
+        poison_after_backward(monkeypatch, lambda: built[0].fc_out.weight, call=3)
+        with pytest.raises(ValueError, match=r"non-finite gradient of "
+                                             r"'posenet.fc_out.weight' at epoch "
+                                             r"2, iteration 3$"):
+            train_posenet(tiny_cfg(), tiny_data()[1])
+
     def test_csv_columns(self, tmp_path):
         cfg = tiny_cfg()
         _, samples = tiny_data()
@@ -257,6 +270,23 @@ class TestStage2:
                 np.errstate(all="ignore"):
             train_full(cfg, samples, s1.checkpoint_path)
 
+    def test_non_finite_gradient_names_first_parameter(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        s1 = train_posenet(cfg, samples, out_dir=tmp_path / "s1")
+        built = []
+        build = train.build_models
+        monkeypatch.setattr(train, "build_models",
+                            lambda *a: built.append(build(*a)) or built[-1])
+        # both poisoned; lift comes first in the optimizer's order
+        poison_after_backward(
+            monkeypatch, lambda: built[0][4].head.filter.coefficients[0], call=1)
+        poison_after_backward(monkeypatch, lambda: built[0][4].lift.weight, call=1)
+        with pytest.raises(ValueError, match=r"non-finite gradient of "
+                                             r"'meshnet.lift.weight' at epoch "
+                                             r"1, iteration 1$"):
+            train_full(cfg, samples, s1.checkpoint_path)
+
     def test_no_dead_parameters_stage2(self, tmp_path):
         _, _, _, s2 = self.run_stages(tmp_path)
         assert s2.dead_parameters == []
@@ -276,6 +306,18 @@ class TestStage2:
         assert len(calls) == 0
         train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
         assert len(calls) == 1
+
+
+def poison_after_backward(monkeypatch, param, call):
+    """Make the call-th backward leave a NaN in param()'s gradient."""
+    backward_fn, calls = T.backward, []
+
+    def poisoned(loss):
+        backward_fn(loss)
+        calls.append(True)
+        if len(calls) == call:
+            param().grad.reshape(-1)[0] = np.nan
+    monkeypatch.setattr(T, "backward", poisoned)
 
 
 class TestSampleShapes:
@@ -315,6 +357,51 @@ V1_CONFIG = {
 }
 
 
+def stage2_step(cfg):
+    """Build cfg's models and one batch of generated samples, and return a
+    function that records one frozen-lifter stage-2 forward and loss, with
+    every loss term on, and returns (tape, total)."""
+    template, _, _, posenet, meshnet = build_models(cfg)
+    b, j = cfg.train.batch_size, template.num_joints
+    _, samples = generate_synthetic_dataset(cfg.template, b, seed=1)
+    x2d, gt3d, mesh = train.assemble_batch(samples, range(b), None,
+                                           template.symmetry_pairs, None,
+                                           need_mesh=True)
+    lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
+
+    def step():
+        with Tape() as tape:
+            pred = meshnet.forward(Tensor(x2d, dtype=np.float32),
+                                   reshape(lifted, (b, j, 3)), training=True)
+            parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
+                                        template.joint_regressor)
+            parts["pose"] = pose_loss(lifted, gt3d.reshape(b, 3 * j))
+            total = total_mesh_loss(parts, cfg.train.loss_weights,
+                                    cfg.train.stage2_epochs)
+        return tape, total
+    return step
+
+
+def test_dense_stage2_step_memory_bound():
+    """A tape holds only the arrays that backward rules read, and the sweep
+    frees each entry and gradient as it goes, so one dense-body stage-2
+    step (V = 1,584 in 1,944 slots, batch 8) peaks at about 67 MiB of new
+    allocations. A tape that held every taped tensor until backward
+    returned peaked at about 173 MiB."""
+    cfg = resolve_config("desk", overrides={
+        "seed": 7, "template": {"verts_per_ring": 12, "rings_per_bone": 12},
+        "train": {"batch_size": 8}})
+    step = stage2_step(cfg)
+    tracemalloc.start()
+    try:
+        _, total = step()
+        backward(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_desk_stage2_tape_budget():
     """One desk stage-2 forward plus loss (batch 32, frozen lifter, every
     loss term on): one-row operands enter add/sub/mul directly, so the
@@ -326,21 +413,8 @@ def test_desk_stage2_tape_budget():
     gather_rows: 228 - 10 * 8 - 38 = 110. The one gather_rows left is
     apply_perm."""
     cfg = resolve_config("desk")
-    assert cfg.train.freeze_posenet
-    template, _, _, posenet, meshnet = build_models(cfg)
-    _, samples = generate_synthetic_dataset(cfg.template, 32, seed=1)
-    b, j = len(samples), template.num_joints
-    x2d, gt3d, mesh = train.assemble_batch(samples, range(b), None,
-                                           template.symmetry_pairs, None,
-                                           need_mesh=True)
-    lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
-    with Tape() as tape:
-        pred = meshnet.forward(Tensor(x2d, dtype=np.float32),
-                               reshape(lifted, (b, j, 3)), training=True)
-        parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
-                                    template.joint_regressor)
-        parts["pose"] = pose_loss(lifted, gt3d.reshape(b, 3 * j))
-        total_mesh_loss(parts, cfg.train.loss_weights, cfg.train.stage2_epochs)
+    assert cfg.train.freeze_posenet and cfg.train.batch_size == 32
+    tape, _ = stage2_step(cfg)()
     names = [entry[0] for entry in tape.entries]
     assert "repeat_rows" not in names
     assert names.count("chebyshev_conv") == 11
