@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -116,49 +117,80 @@ def load_dataset(path) -> list[PoseSample]:
 # --------------------------------------------------------------- checkpoint
 
 def save_checkpoint(path, config: dict, tensors: dict) -> None:
-    """Write config and named float32 arrays in a single binary file."""
+    """Write config and named float32 arrays in a single binary file.
+
+    Every tensor is checked before the file is touched. The bytes go to a
+    temporary file next to ``path`` that replaces it only once complete,
+    so a failed save leaves the old checkpoint as it was.
+    """
     entries = []
-    blobs = []
+    arrays = []
     offset = 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        arr = np.ascontiguousarray(arr, dtype="<f4")
         if not np.isfinite(arr).all():
             raise ValueError(f"save_checkpoint {path}: tensor {name!r} has "
                              f"non-finite values")
-        blob = arr.astype("<f4", copy=False).tobytes()
         entries.append({"name": name, "shape": list(arr.shape),
                         "dtype": "f32", "byte_offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+        arrays.append(arr)
+        offset += arr.nbytes
     manifest = {"format_version": CHECKPOINT_VERSION, "config": config,
                 "tensors": entries}
     mbytes = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(mbytes)))
-        fh.write(mbytes)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(mbytes)) + mbytes)
+            for arr in arrays:
+                fh.write(memoryview(arr))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, {name: float32 array}).
 
-    Every malformed file raises a ValueError that starts with
-    ``checkpoint PATH``.
+    The manifest is checked against the file size before any payload is
+    read, then each tensor is read straight into its own array. Every
+    malformed file raises a ValueError that starts with ``checkpoint PATH``.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"checkpoint {path}: bad magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise ValueError(f"checkpoint {path}: truncated header")
-    mlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    if len(raw) < 8 + mlen:
-        raise ValueError(f"checkpoint {path}: truncated manifest")
-    try:
-        manifest = json.loads(raw[8:8 + mlen].decode("utf-8"))
-    except ValueError as e:  # bad UTF-8 or bad JSON
-        raise ValueError(f"checkpoint {path}: bad manifest ({e})") from e
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"checkpoint {path}: bad magic {head[:4]!r}")
+        if len(head) < 8:
+            raise ValueError(f"checkpoint {path}: truncated header")
+        mlen = struct.unpack("<I", head[4:])[0]
+        if size < 8 + mlen:
+            raise ValueError(f"checkpoint {path}: truncated manifest")
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise ValueError(f"checkpoint {path}: bad manifest ({e})") from e
+        entries = _checked_entries(path, manifest, size - 8 - mlen)
+        tensors = {}
+        for name, shape, start, end in entries:
+            arr = np.empty(shape, dtype="<f4")
+            fh.seek(8 + mlen + start)
+            if fh.readinto(arr) != end - start:
+                raise ValueError(f"checkpoint {path}: tensor {name!r} "
+                                 f"payload out of range")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint {path}: tensor {name!r} has "
+                                 f"non-finite values")
+            tensors[name] = arr.astype(np.float32, copy=False)
+    return manifest["config"], tensors
+
+
+def _checked_entries(path, manifest, payload_size: int):
+    """The manifest's tensors as (name, shape, start, end) payload ranges,
+    each checked to be well formed, inside the payload, and disjoint from
+    the others."""
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint {path}: manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
@@ -168,9 +200,8 @@ def load_checkpoint(path):
             and isinstance(manifest.get("tensors"), list)):
         raise ValueError(f"checkpoint {path}: manifest needs a config object "
                          f"and a tensors list")
-    payload = raw[8 + mlen:]
-    tensors = {}
-    spans = []  # (start, end, name) of every non-empty payload range
+    entries = []
+    names = set()
     for entry in manifest["tensors"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise ValueError(f"checkpoint {path}: tensor entry without a name")
@@ -178,30 +209,25 @@ def load_checkpoint(path):
         if entry.get("dtype") != "f32":
             raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"has unsupported dtype {entry.get('dtype')!r}")
-        if name in tensors:
+        if name in names:
             raise ValueError(f"checkpoint {path}: duplicate tensor {name!r}")
+        names.add(name)
         shape, start = entry.get("shape"), entry.get("byte_offset")
         if not (isinstance(shape, list)
                 and all(type(d) is int and d >= 0 for d in [*shape, start])):
             raise ValueError(f"checkpoint {path}: tensor {name!r} needs non-negative "
                              f"integer shape and byte_offset, got {shape!r} and {start!r}")
         end = start + 4 * math.prod(shape)
-        if end > len(payload):
+        if end > payload_size:
             raise ValueError(f"checkpoint {path}: tensor {name!r} "
                              f"payload out of range")
-        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint {path}: tensor {name!r} has "
-                             f"non-finite values")
-        tensors[name] = arr.astype(np.float32, copy=True)
-        if end > start:
-            spans.append((start, end, name))
-    spans.sort()
+        entries.append((name, shape, start, end))
+    spans = sorted((start, end, name) for name, _, start, end in entries if end > start)
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
         if start < end:
             raise ValueError(f"checkpoint {path}: payloads of tensors "
                              f"{first!r} and {second!r} overlap")
-    return manifest["config"], tensors
+    return entries
 
 
 # ---------------------------------------------------------------------- OBJ

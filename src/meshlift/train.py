@@ -87,9 +87,11 @@ def _build_posenet(cfg: RunConfig, template, dtype=np.float32) -> PoseLifter:
                       seed=cfg.seed, dtype=dtype)
 
 
-def build_models(cfg: RunConfig, dtype=np.float32):
-    """Template, graph hierarchy, and freshly initialized networks."""
-    template = build_tube_body(cfg.template)
+def build_models(cfg: RunConfig, dtype=np.float32, template=None):
+    """Template, graph hierarchy, and freshly initialized networks; pass
+    ``template`` when cfg's tube body is already built."""
+    if template is None:
+        template = build_tube_body(cfg.template)
     hierarchy = graclus_coarsen(build_mesh_graph(template), cfg.model.levels,
                                 seed=cfg.seed)
     pose_graph = build_pose_graph(template.num_joints, template.skeleton_edges,
@@ -113,15 +115,18 @@ def collect_state(model, prefix: str) -> dict:
     return out
 
 
-def restore_state(model, prefix: str, tensors: dict) -> None:
-    """Copy ``tensors`` in place into the arrays that collect_state names."""
-    for key, live in collect_state(model, prefix).items():
+def restore_state(model, prefix: str, tensors: dict):
+    """Copy ``tensors`` in place into the arrays that collect_state names;
+    returns those names."""
+    state = collect_state(model, prefix)
+    for key, live in state.items():
         if key not in tensors:
             raise ValueError(f"checkpoint missing tensor {key!r}")
         if tensors[key].shape != live.shape:
             raise ValueError(f"checkpoint tensor {key!r} has shape "
                              f"{tensors[key].shape}, expected {live.shape}")
-        live[:] = tensors[key].astype(live.dtype)
+        live[...] = tensors[key]
+    return state.keys()
 
 
 def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
@@ -135,17 +140,22 @@ def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
     save_checkpoint(path, checkpoint_config(cfg), tensors)
 
 
-def _restore_models(path, cfg: RunConfig, dtype=np.float32):
+def _restore_models(path, cfg: RunConfig, dtype=np.float32, template=None):
     """build_models' tuple, with the networks the checkpoint holds restored
-    from it, plus the set of restored prefixes ("posenet", "meshnet")."""
+    from it, plus the set of restored prefixes ("posenet", "meshnet").
+    A tensor that no restored network owns is rejected."""
     stored, tensors = load_checkpoint(path)
     check_checkpoint_config(stored, cfg)
-    models = build_models(cfg, dtype)
-    restored = set()
+    models = build_models(cfg, dtype, template)
+    restored, owned = set(), set()
     for prefix, model in (("posenet", models[3]), ("meshnet", models[4])):
         if any(k.startswith(prefix + ".") for k in tensors):
-            restore_state(model, prefix, tensors)
+            owned.update(restore_state(model, prefix, tensors))
             restored.add(prefix)
+    for key in tensors:
+        if key not in owned:
+            raise ValueError(f"checkpoint {path}: tensor {key!r} belongs to "
+                             f"no restored network")
     return models, restored
 
 
@@ -326,11 +336,12 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
     """End-to-end training of lifter + mesh regressor from a stage-1 start."""
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")
-    check_sample_shapes(samples, build_tube_body(cfg.template))
+    template = build_tube_body(cfg.template)
+    check_sample_shapes(samples, template)
     # a stage-1 checkpoint has no mesh weights: the mesh regressor then
     # starts from its fresh initialization
-    (template, _, _, posenet, meshnet), restored = \
-        _restore_models(posenet_checkpoint, cfg)
+    (_, _, _, posenet, meshnet), restored = \
+        _restore_models(posenet_checkpoint, cfg, np.float32, template)
     if "posenet" not in restored:
         raise ValueError("train_full: checkpoint has no lifter weights")
     tc = cfg.train

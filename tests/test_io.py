@@ -2,12 +2,16 @@
 
 import json
 import re
+import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import meshlift.io as mio
 from meshlift.data import PoseSample, generate_synthetic_dataset
 from meshlift.io import (CHECKPOINT_MAGIC, load_body_spec, load_checkpoint,
                          load_dataset, save_body_spec, save_checkpoint,
@@ -354,6 +358,101 @@ class TestCheckpoint:
         save_checkpoint(p, {}, {"x": np.array([1.0, 2.0])})
         _, tensors = load_checkpoint(p)
         assert tensors["x"].dtype == np.float32
+
+    def test_manifest_length_beyond_file(self, tmp_path):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {}, self.tensors())
+        raw = p.read_bytes()
+        p.write_bytes(raw[:4] + b"\xff\xff\xff\xff" + raw[8:])
+        want = f"checkpoint {p}: truncated manifest"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_checkpoint(p)
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_reads_each_tensor_into_its_own_array(self, tmp_path):
+        """The payload is read once, straight into the returned array: the
+        peak is that array plus the finite check's mask (1.25 times the
+        payload). Reading the file as bytes and slicing it peaked at about
+        three times the payload."""
+        p = tmp_path / "c.bin"
+        big = np.arange(4 * 2 ** 20, dtype=np.float32).reshape(2048, 2048)
+        save_checkpoint(p, {}, {"big": big})
+        got = []
+        peak = self.peak_bytes(lambda: got.append(load_checkpoint(p)))
+        assert peak < 1.5 * big.nbytes, f"peak {peak / big.nbytes:.2f} x payload"
+        np.testing.assert_array_equal(got[0][1]["big"], big)
+
+    def test_save_writes_each_array_from_its_own_buffer(self, tmp_path):
+        """A float32 tensor is written from its own memory; only the finite
+        check's mask (a quarter of the payload) is allocated. Keeping bytes
+        copies of the tensors until the write peaked at about the payload."""
+        p = tmp_path / "c.bin"
+        big = np.arange(4 * 2 ** 20, dtype=np.float32).reshape(2048, 2048)
+        peak = self.peak_bytes(lambda: save_checkpoint(p, {}, {"big": big}))
+        assert peak < 0.5 * big.nbytes, f"peak {peak / big.nbytes:.2f} x payload"
+        assert p.read_bytes().endswith(big.astype("<f4").tobytes())
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, {"seed": 1}, self.tensors())
+        before = p.read_bytes()
+
+        class FailingWriter:
+            """A file whose second tensor write fails, as a full disk would."""
+            def __init__(self, fh):
+                self.fh, self.tensor_writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if isinstance(data, memoryview):
+                    self.tensor_writes += 1
+                    if self.tensor_writes == 2:
+                        raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(mio, "open", lambda *a: FailingWriter(open(*a)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(p, {"seed": 2}, self.tensors())
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]
+
+
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_tiny.ckpt"
+
+
+def test_v1_fixture_loads_as_plain_byte_slices():
+    """Every tensor of the v1 fixture equals the little-endian float32 view
+    of its manifest range, with the manifest's shape, and is a writable,
+    C-contiguous float32 array of its own."""
+    raw = V1_CHECKPOINT.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8:8 + mlen])
+    payload = raw[8 + mlen:]
+    config, tensors = load_checkpoint(V1_CHECKPOINT)
+    assert config == manifest["config"]
+    assert list(tensors) == [t["name"] for t in manifest["tensors"]]
+    for t in manifest["tensors"]:
+        start = t["byte_offset"]
+        want = np.frombuffer(payload, "<f4", int(np.prod(t["shape"])),
+                             start).reshape(t["shape"])
+        got = tensors[t["name"]]
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
+        np.testing.assert_array_equal(got, want)
 
 
 class TestObj:

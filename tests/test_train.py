@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the two-stage loops, and checkpoint round trips."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
 from meshlift.evaluate import predict
-from meshlift.io import load_checkpoint
+from meshlift.io import load_checkpoint, save_checkpoint
 from meshlift.layers import BN_EPS, BatchNorm1d
 from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
 from meshlift.tensor import Tape, Tensor, backward, reduce_sum, reshape
@@ -306,6 +307,51 @@ class TestStage2:
         assert len(calls) == 0
         train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
         assert len(calls) == 1
+
+    def test_tube_body_built_once(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        s1 = train_posenet(cfg, samples, out_dir=tmp_path / "s1")
+        calls = []
+        build = train.build_tube_body
+        monkeypatch.setattr(train, "build_tube_body",
+                            lambda spec: calls.append(spec) or build(spec))
+        train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
+        assert calls == [cfg.template]
+
+
+class TestUnknownTensors:
+    """A checkpoint tensor that no restored network owns is rejected by
+    name, whether a network has no such parameter or no network has the
+    tensor's prefix."""
+
+    def write(self, path, cfg, extra, meshnet=True):
+        _, _, _, posenet, mesh = build_models(cfg)
+        save_models(path, cfg, posenet=posenet, meshnet=mesh if meshnet else None)
+        stored, tensors = load_checkpoint(path)
+        save_checkpoint(path, stored, {**tensors, extra: np.ones(3, np.float32)})
+
+    @pytest.mark.parametrize("extra, meshnet", [
+        ("meshnet.levels.9.a.bn.gamma", True),
+        ("step", True),
+        ("step", False),
+        ("meshnet.lift.weight.old", True),
+    ])
+    def test_rejected_by_name(self, tmp_path, extra, meshnet):
+        cfg = tiny_cfg()
+        p = tmp_path / "c.ckpt"
+        self.write(p, cfg, extra, meshnet)
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(p))}: "
+                                             f"tensor '{re.escape(extra)}' belongs "
+                                             f"to no restored network$"):
+            load_models(p, cfg)
+
+    def test_lifter_checkpoint_with_mesh_tensor_is_missing_the_rest(self, tmp_path):
+        cfg = tiny_cfg()
+        p = tmp_path / "c.ckpt"
+        self.write(p, cfg, "meshnet.levels.9.a.bn.gamma", meshnet=False)
+        with pytest.raises(ValueError, match="checkpoint missing tensor 'meshnet."):
+            load_models(p, cfg)
 
 
 def poison_after_backward(monkeypatch, param, call):
