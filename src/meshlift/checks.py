@@ -101,8 +101,8 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     check("layer.cheb_conv.input",
           lambda x: _weighted_sum(chebyshev_conv(x, lap, filt, batch=2),
                                   np.random.default_rng(7)),
-          rng.standard_normal((4, 2 * 2)), LAYER_TOL)
-    x_fixed = Tensor(rng.standard_normal((4, 2 * 2)), dtype=np.float64)
+          rng.standard_normal((4, 2, 2)), LAYER_TOL)
+    x_fixed = Tensor(rng.standard_normal((4, 2, 2)), dtype=np.float64)
     c0, c1, c2 = filt.coefficients
     check("layer.cheb_conv.theta",
           lambda k: _weighted_sum(
@@ -113,9 +113,9 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     block = L.GraphConvBlock(2, 3, order=3, rng=np.random.default_rng(9),
                              dtype=np.float64)
     check("layer.graph_block",
-          lambda x: _weighted_sum(block.forward(x, lap, batch=3, training=True),
+          lambda x: _weighted_sum(block.forward(x, lap, training=True),
                                   np.random.default_rng(10)),
-          rng.standard_normal((4, 3 * 2)), LAYER_TOL)
+          rng.standard_normal((4, 3, 2)), LAYER_TOL)
 
     # --- models end to end
     posenet = PoseLifter(num_joints=6, hidden=24, num_blocks=2, drop_p=0.0,

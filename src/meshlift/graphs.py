@@ -337,24 +337,21 @@ def chebyshev_conv(f_in: Tensor, lap: ScaledLaplacian, filt: ChebFilter,
     """Spectral filtering sum_k T_k(L_tilde) F Theta_k via the recurrence
     Z_0 = F, Z_1 = L Z_0, Z_k = 2 L Z_{k-1} - Z_{k-2}, as one taped op.
 
-    f_in is (V, batch * f) with per-sample feature blocks side by side in
-    the columns; batch=1 is the plain single-sample signature. Output is
-    (V, batch * f_out). Backward gives dTheta_k = Z_k^T G and dZ_k =
-    G Theta_k^T, then runs the adjoint recurrence with the same K - 1
-    Laplacian products as the forward.
+    f_in is (V, batch, f) and the output (V, batch, f_out). Inside the op
+    they are viewed as (V, batch * f), so that each Laplacian product
+    covers the whole batch, and as (V * batch, f), so that one matmul
+    applies Theta_k per vertex per sample. Backward gives dTheta_k =
+    Z_k^T G and dZ_k = G Theta_k^T, then runs the adjoint recurrence with
+    the same K - 1 Laplacian products as the forward.
     """
-    if f_in.ndim != 2:
-        raise ShapeError("chebyshev_conv", f_in.shape)
-    v, cols = f_in.shape
-    if v != lap.num_vertices:
-        raise ShapeError("chebyshev_conv", f_in.shape, (v, v))
-    if cols != batch * filt.f_in:
-        raise ShapeError("chebyshev_conv", f_in.shape, (filt.f_in, filt.f_out))
+    v, f, f_out = lap.num_vertices, filt.f_in, filt.f_out
+    if f_in.shape != (v, batch, f):
+        raise ShapeError("chebyshev_conv", f_in.shape, (v, batch, f))
     coeffs = filt.coefficients
     T._check_dtype("chebyshev_conv", f_in, *coeffs)
-    f, f_out = filt.f_in, filt.f_out
+    cols = batch * f
 
-    zs = [f_in.data]
+    zs = [f_in.data.reshape(v, cols)]
     if filt.order > 1:
         zs.append(lap.product(zs[0]))
     for _ in range(2, filt.order):
@@ -362,9 +359,6 @@ def chebyshev_conv(f_in: Tensor, lap: ScaledLaplacian, filt: ChebFilter,
         z *= 2
         z -= zs[-2]
         zs.append(z)
-    # (V, B*f) rows are [sample0 | sample1 | ...] blocks; a reshape to
-    # (V*B, f) keeps blocks intact, so one matmul applies Theta_k per
-    # vertex per sample
     rows = [z.reshape(v * batch, f) for z in zs]
     out = rows[0] @ coeffs[0].data
     for z, c in zip(rows[1:], coeffs[1:]):
@@ -383,8 +377,8 @@ def chebyshev_conv(f_in: Tensor, lap: ScaledLaplacian, filt: ChebFilter,
                 adj[k - 2] -= adj[k]
             if len(adj) > 1:
                 adj[0] += lap.product(adj[1])
-            grads[0] = adj[0]
+            grads[0] = adj[0].reshape(v, batch, f)
         return tuple(grads)
 
     return T._apply("chebyshev_conv", (f_in, *coeffs),
-                    out.reshape(v, batch * f_out), bw)
+                    out.reshape(v, batch, f_out), bw)

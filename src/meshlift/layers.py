@@ -86,7 +86,10 @@ class Linear(Module):
 
 
 class BatchNorm1d(Module):
-    """Per-feature normalization over axis 0 of a (batch, features) input.
+    """Per-feature normalization of an (..., features) input over all its
+    leading axes: a (batch, features) lifter activation, or a (V, batch,
+    features) mesh activation normalized over vertices and samples alike.
+    Either is viewed as (rows, features) inside the op.
 
     Training mode normalizes by batch statistics (differentiable through
     them) and updates the running estimates with momentum 0.1; eval mode
@@ -108,15 +111,18 @@ class BatchNorm1d(Module):
         self.n = n
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise T.ShapeError("batchnorm", x.shape, (self.n,))
+        n = self.n
+        if x.ndim < 2 or x.shape[-1] != n:
+            raise T.ShapeError("batchnorm", x.shape, (n,))
         dtype = T._check_dtype("batch_norm", x, self.gamma, self.beta)
-        b = x.shape[0]
+        shape = x.shape
+        xd = x.data.reshape(-1, n)
+        b = xd.shape[0]
         if training:
             if b < 2:
                 raise ValueError("batchnorm: training mode needs batch size >= 2")
-            mean = x.data.mean(axis=0, keepdims=True)
-            centered = x.data - mean
+            mean = xd.mean(axis=0, keepdims=True)
+            centered = xd - mean
             var = (centered * centered).mean(axis=0, keepdims=True)
             sigma = np.sqrt(var + BN_EPS)
             self.running_mean = ((1 - BN_MOMENTUM) * self.running_mean
@@ -124,13 +130,14 @@ class BatchNorm1d(Module):
             self.running_var = ((1 - BN_MOMENTUM) * self.running_var
                                 + BN_MOMENTUM * (var * (b / (b - 1)))).astype(dtype)
         else:
-            centered = x.data - self.running_mean.astype(dtype, copy=False)
+            centered = xd - self.running_mean.astype(dtype, copy=False)
             sigma = np.sqrt(self.running_var.astype(np.float64) + BN_EPS).astype(dtype)
         xhat = centered / sigma
         gamma = self.gamma.data
         out = xhat * gamma + self.beta.data
 
         def bw(g, needs):
+            g = g.reshape(-1, n)
             gx = g * gamma
             dx = gx / sigma
             if training:  # through the batch variance (var = mean(c * c)), then mean
@@ -141,10 +148,11 @@ class BatchNorm1d(Module):
                 dx += t
                 dx += t
                 dx += -dx.sum(axis=0, keepdims=True) / b
-            return (dx, (g * xhat).sum(axis=0, keepdims=True),
+            return (dx.reshape(shape), (g * xhat).sum(axis=0, keepdims=True),
                     g.sum(axis=0, keepdims=True))
 
-        return T._apply("batch_norm", (x, self.gamma, self.beta), out, bw)
+        return T._apply("batch_norm", (x, self.gamma, self.beta),
+                        out.reshape(shape), bw)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -167,21 +175,14 @@ def make_cheb_filter(f_in: int, f_out: int, order: int,
 
 
 class GraphConvBlock(Module):
-    """Chebyshev conv -> batchnorm (per feature over batch x vertices) -> ReLU.
-
-    Operates on the stacked (V, batch * f) layout shared with chebyshev_conv.
-    """
+    """Chebyshev conv -> batchnorm (per feature over batch x vertices) -> ReLU,
+    from a (V, batch, f_in) activation to a (V, batch, f_out) one."""
 
     def __init__(self, f_in: int, f_out: int, order: int,
                  rng: np.random.Generator, dtype=np.float32):
         self.filter = make_cheb_filter(f_in, f_out, order, rng, dtype)
         self.bn = BatchNorm1d(f_out, dtype=dtype)
-        self.f_out = f_out
 
-    def forward(self, x: Tensor, lap: ScaledLaplacian, batch: int,
-                training: bool) -> Tensor:
-        y = chebyshev_conv(x, lap, self.filter, batch=batch)
-        v = y.shape[0]
-        flat = T.reshape(y, (v * batch, self.f_out))
-        flat = T.relu(self.bn.forward(flat, training))
-        return T.reshape(flat, (v, batch * self.f_out))
+    def forward(self, x: Tensor, lap: ScaledLaplacian, training: bool) -> Tensor:
+        y = chebyshev_conv(x, lap, self.filter, batch=x.shape[1])
+        return T.relu(self.bn.forward(y, training))

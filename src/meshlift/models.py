@@ -7,8 +7,10 @@ dense layer, then alternates per-level graph-conv blocks and
 nearest-neighbor upsampling down the hierarchy to the full-resolution
 vertex set.
 
-Batched mesh features live in the stacked (V, batch * f) column layout
-throughout, so each Chebyshev application is a single matmul.
+Graph features live in one (V, batch, f) layout from the joint graph to
+the final vertex reorder: vertices on axis 0, where the Laplacians,
+upsampling and the reorder act, features on the last axis, where the
+filters, batch norm and the skip projection act.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from meshlift import tensor as T
 from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
-from meshlift.graphs import Graph, ScaledLaplacian, chebyshev_conv, scaled_laplacian
+from meshlift.graphs import Graph, chebyshev_conv, scaled_laplacian
 from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
                              make_cheb_filter, uniform_weight)
 from meshlift.template import MeshTemplate
@@ -155,37 +157,28 @@ class MeshRegressor(Module):
         h = self.hierarchy
         c = h.num_levels
 
-        x = T.concat([p2d, p3d], axis=2)                      # (B, J, 5)
-        x = T.reshape(T.transpose(x, (1, 0, 2)), (j, b * 5))  # stacked layout
+        x = T.transpose(T.concat([p2d, p3d], axis=2), (1, 0, 2))  # (J, B, 5)
         for blk in self.pose_blocks:
-            x = blk.forward(x, self.pose_lap, b, training)
+            x = blk.forward(x, self.pose_lap, training)
 
-        x = T.reshape(T.transpose(T.reshape(x, (j, b, self.pose_width)),
-                                  (1, 0, 2)), (b, j * self.pose_width))
+        x = T.reshape(T.transpose(x, (1, 0, 2)), (b, j * self.pose_width))
         x = self.lift.forward(x)                              # (B, Vc * w0)
-        coarse = h.level_size(c)
-        x = T.reshape(T.transpose(T.reshape(x, (b, coarse, self.widths[0])),
-                                  (1, 0, 2)), (coarse, b * self.widths[0]))
+        x = T.transpose(T.reshape(x, (b, h.level_size(c), self.widths[0])),
+                        (1, 0, 2))                            # (Vc, B, w0)
 
         for i, lvl in enumerate(self.levels):
             level = c - i
             lap = h.scaled_laplacians[level]
             skip = x
-            y = lvl.a.forward(x, lap, b, training)
+            y = lvl.a.forward(x, lap, training)
             # residual around the second conv of the level
-            x = T.add(y, lvl.b.forward(y, lap, b, training))
+            x = T.add(y, lvl.b.forward(y, lap, training))
             if self.across_level_residual:
-                proj = lvl.skip_proj
-                if proj is not None:
-                    v = skip.shape[0]
-                    skip = T.reshape(T.matmul(
-                        T.reshape(skip, (v * b, proj.shape[0])), proj),
-                        (v, b * proj.shape[1]))
+                if lvl.skip_proj is not None:
+                    skip = T.matmul(skip, lvl.skip_proj)
                 x = T.add(x, skip)
             if level > 0:
                 x = upsample_features(x, h, level=level - 1)
 
         x = chebyshev_conv(x, h.scaled_laplacians[0], self.head.filter, batch=b)
-        x = apply_perm(x, h)                                  # (V_orig, B*3)
-        v_orig = x.shape[0]
-        return T.transpose(T.reshape(x, (v_orig, b, 3)), (1, 0, 2))
+        return T.transpose(apply_perm(x, h), (1, 0, 2))

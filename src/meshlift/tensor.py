@@ -17,12 +17,12 @@ Broadcasting has one rule: add, sub and mul take operands of equal
 shape, or one operand whose leading axis is 1 and whose other axes equal
 the other's (a bias, a root joint), which is used for
 every row; its gradient is the op's gradient summed over axis 0. matmul
-is strictly 2-D. Every other batched layout is expressed through
-explicit reshape / transpose / gather ops, so every recorded op keeps a
-direct, auditable backward rule. The fused primitives
-(graphs.chebyshev_conv, coarsen.upsample_features, layers.BatchNorm1d's
-batch_norm and losses.face_edges) record one entry each through _apply,
-with their own backward rule.
+takes a (..., k) left operand and a (k, n) right one. Every other batched
+layout is expressed through explicit reshape / transpose / gather ops, so
+every recorded op keeps a direct, auditable backward rule. The fused
+primitives (graphs.chebyshev_conv, coarsen.upsample_features,
+layers.BatchNorm1d's batch_norm and losses.face_edges) record one entry
+each through _apply, with their own backward rule.
 """
 
 from __future__ import annotations
@@ -270,18 +270,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n) -> (..., n): one gemm over the rows of a viewed
+    as (rows, k), so a (V, B, f) activation needs no taped reshape."""
     _check_tensor("matmul", a, b)
     _check_dtype("matmul", a, b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    ad, bd = a.data, b.data
+    shape, (k, n) = a.shape, b.shape
+    ad, bd = a.data.reshape(-1, k), b.data
 
     def bw(g, needs):
-        ga = g @ bd.T if needs[0] else None
+        g = g.reshape(-1, n)
+        ga = (g @ bd.T).reshape(shape) if needs[0] else None
         gb = ad.T @ g if needs[1] else None
         return (ga, gb)
 
-    return _apply("matmul", (a, b), ad @ bd, bw)
+    return _apply("matmul", (a, b), (ad @ bd).reshape(*shape[:-1], n), bw)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

@@ -96,8 +96,8 @@ def test_criterion_1_chebyshev_matches_dense_oracle():
         x = rng.standard_normal(g.num_vertices)
         filt = G.ChebFilter([Tensor(np.full((1, 1), t), dtype=np.float64)
                              for t in theta])
-        ours = G.chebyshev_conv(Tensor(x[:, None], dtype=np.float64),
-                                sl, filt).data[:, 0]
+        ours = G.chebyshev_conv(Tensor(x[:, None, None], dtype=np.float64),
+                                sl, filt).data[:, 0, 0]
         ref = dense_spectral_oracle(x, sl, theta)
         worst = max(worst, float(np.max(np.abs(ours - ref))))
     dt = time.time() - t0

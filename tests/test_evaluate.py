@@ -92,8 +92,9 @@ class TestPredict:
                                                           "batch_size": 2}})
         a = predict(cfg, template, posenet, meshnet, samples)
         b = predict(small, template, posenet, meshnet, samples)
-        # BLAS accumulation order varies with the stacked batch width, so
-        # agreement is only to f32 roundoff, not bit-exact
+        # BLAS accumulation order varies with the number of rows a batch
+        # puts through each product, so agreement is only to f32 roundoff,
+        # not bit-exact
         np.testing.assert_allclose(a["pred_mesh"], b["pred_mesh"],
                                    rtol=1e-5, atol=1e-4)
 

@@ -240,13 +240,13 @@ class TestChebyshevConv:
         sl = G.scaled_laplacian(g)
         np.testing.assert_allclose(dense(sl), [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
         filt = G.ChebFilter([Tensor(np.ones((1, 1))) for _ in range(3)])
-        out = G.chebyshev_conv(Tensor(np.array([[1.0], [0.0]])), sl, filt)
-        np.testing.assert_allclose(out.data, [[2.0], [-1.0]], atol=1e-7)
+        out = G.chebyshev_conv(Tensor(np.array([[[1.0]], [[0.0]]])), sl, filt)
+        np.testing.assert_allclose(out.data, [[[2.0]], [[-1.0]]], atol=1e-7)
 
     def test_identity_filter_first_order(self):
         g = random_graph(7, seed=2)
         sl = G.scaled_laplacian(g)
-        x = Tensor(np.random.default_rng(0).standard_normal((7, 3)))
+        x = Tensor(np.random.default_rng(0).standard_normal((7, 1, 3)))
         filt = G.ChebFilter([Tensor(np.eye(3))])
         out = G.chebyshev_conv(x, sl, filt)
         np.testing.assert_allclose(out.data, x.data, atol=1e-7)
@@ -262,8 +262,8 @@ class TestChebyshevConv:
         filt = G.ChebFilter([Tensor(np.full((1, 1), t), dtype=np.float64) for t in theta])
         ref = dense_spectral_oracle(x, sl, theta)
         for gathered in (False, True):
-            ours = G.chebyshev_conv(Tensor(x[:, None]), with_path(sl, gathered),
-                                    filt).data[:, 0]
+            ours = G.chebyshev_conv(Tensor(x[:, None, None]), with_path(sl, gathered),
+                                    filt).data[:, 0, 0]
             assert np.max(np.abs(ours - ref)) < 1e-10, gathered
 
     def test_locality_k3_is_two_hops(self):
@@ -271,9 +271,9 @@ class TestChebyshevConv:
         sl = G.scaled_laplacian(g)
         filt = make_filter(1, 1, 3, seed=6)
         for src in range(0, 12, 3):
-            x = np.zeros((12, 1))
-            x[src, 0] = 1.0
-            out = G.chebyshev_conv(Tensor(x, dtype=np.float64), sl, filt).data[:, 0]
+            x = np.zeros((12, 1, 1))
+            x[src, 0, 0] = 1.0
+            out = G.chebyshev_conv(Tensor(x, dtype=np.float64), sl, filt).data[:, 0, 0]
             dist = hop_distances(dense(g), src)
             outside = np.abs(out[dist > 2])
             assert outside.size == 0 or outside.max() < 1e-12
@@ -284,25 +284,35 @@ class TestChebyshevConv:
         filt = make_filter(4, 2, 3, seed=8)
         rng = np.random.default_rng(9)
         batch = rng.standard_normal((3, 9, 4))  # (B, V, f)
-        stacked = Tensor(np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(9, 12))
-        out = G.chebyshev_conv(stacked, sl, filt, batch=3).data.reshape(9, 3, 2)
+        vbf = Tensor(np.ascontiguousarray(batch.transpose(1, 0, 2)))
+        out = G.chebyshev_conv(vbf, sl, filt, batch=3).data
         for b in range(3):
-            single = G.chebyshev_conv(Tensor(batch[b]), sl, filt).data
-            np.testing.assert_allclose(out[:, b, :], single, atol=1e-12)
+            single = G.chebyshev_conv(Tensor(batch[b][:, None]), sl, filt).data
+            np.testing.assert_allclose(out[:, b:b + 1], single, atol=1e-12)
 
     def test_shape_errors(self):
         g = random_graph(5, seed=1)
         sl = G.scaled_laplacian(g)
         filt = make_filter(3, 2, 3, seed=2)
         with pytest.raises(T.ShapeError):
-            G.chebyshev_conv(Tensor(np.zeros((4, 3))), sl, filt)
+            G.chebyshev_conv(Tensor(np.zeros((4, 1, 3))), sl, filt)
         with pytest.raises(T.ShapeError):
-            G.chebyshev_conv(Tensor(np.zeros((5, 4))), sl, filt)
+            G.chebyshev_conv(Tensor(np.zeros((5, 1, 4))), sl, filt)
+
+    def test_rejects_stacked_input_and_batch_mismatch(self):
+        g = random_graph(5, seed=1)
+        sl = G.scaled_laplacian(g)
+        filt = make_filter(3, 2, 3, seed=2)
+        # the (V, batch * f) layout of the same features is not accepted
+        with pytest.raises(T.ShapeError, match=r"\(5, 6\) vs \(5, 2, 3\)"):
+            G.chebyshev_conv(Tensor(np.zeros((5, 6))), sl, filt, batch=2)
+        with pytest.raises(T.ShapeError, match=r"\(5, 2, 3\) vs \(5, 3, 3\)"):
+            G.chebyshev_conv(Tensor(np.zeros((5, 2, 3))), sl, filt, batch=3)
 
     def test_gradcheck_wrt_features_and_coefficients(self):
         g = random_graph(6, seed=11, fakes=1)
-        x0 = np.random.default_rng(13).standard_normal((6, 6))
-        w = Tensor(np.random.default_rng(14).standard_normal((6, 4)), dtype=np.float64)
+        x0 = np.random.default_rng(13).standard_normal((6, 2, 3))
+        w = Tensor(np.random.default_rng(14).standard_normal((6, 2, 2)), dtype=np.float64)
 
         def loss(x, sl, filt):
             # batch 2, unequal output weights: no gradient is a plain sum
@@ -329,7 +339,7 @@ class TestChebyshevConv:
         g = random_graph(6, seed=14)
         sl = G.scaled_laplacian(g)
         filt = make_filter(3, 2, 3, seed=15, dtype=np.float32, requires_grad=True)
-        x = Tensor(np.random.default_rng(16).standard_normal((6, 3)), dtype=np.float32)
+        x = Tensor(np.random.default_rng(16).standard_normal((6, 1, 3)), dtype=np.float32)
         with Tape():
             loss = T.reduce_sum(G.chebyshev_conv(x, sl, filt))
         T.backward(loss)
@@ -388,7 +398,7 @@ class TestLaplacianProduct:
         assert sl.gathered
         batch, f = 4, 32
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((v, batch * f)), requires_grad=True,
+        x = Tensor(rng.standard_normal((v, batch, f)), requires_grad=True,
                    dtype=np.float32)
         filt = make_filter(f, f, 3, seed=1, dtype=np.float32, requires_grad=True)
         tracemalloc.start()

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from meshlift import layers as L
+from meshlift import models
 from meshlift import tensor as T
-from meshlift.coarsen import graclus_coarsen
+from meshlift.coarsen import graclus_coarsen, upsample_features
+from meshlift.config import resolve_config
 from meshlift.graphs import ScaledLaplacian, build_mesh_graph, build_pose_graph
 from meshlift.models import MeshRegressor, PoseLifter, fit_widths
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tape, Tensor
+from meshlift.train import build_models
 
 from dense_views import table_from_dense
 
@@ -253,6 +256,31 @@ class TestBatchNormOp:
         rep = T.gradient_check(f, Tensor(start, dtype=np.float64))
         assert rep.max_rel_err < 1e-6, rep.max_rel_err
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_vbf_input_equals_its_rows(self, training):
+        """A (V, B, f) mesh activation is normalized exactly as its (V * B, f)
+        rows: output, running statistics and all three gradients, bit for
+        bit, with the output and input gradient in the input's shape."""
+        rng = np.random.default_rng(8)
+        x0 = rng.normal(0.4, 3.0, (7, 3, 4)).astype(np.float32)
+        g = rng.standard_normal((7, 3, 4)).astype(np.float32)
+        runs = []
+        for shape in ((7, 3, 4), (21, 4)):
+            bn = self.make(4, np.float32)
+            x = Tensor(x0.reshape(shape), requires_grad=True)
+            with Tape():
+                out = bn.forward(x, training)
+                loss = T.reduce_sum(T.mul(out, Tensor(g.reshape(shape))))
+            T.backward(loss)
+            assert out.shape == shape and x.grad.shape == shape
+            runs.append((out.data.reshape(7, 3, 4), bn.running_mean,
+                         bn.running_var, x.grad.reshape(7, 3, 4),
+                         bn.gamma.grad, bn.beta.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(T.ShapeError, match="batchnorm"):
+            self.make(4, np.float32).forward(Tensor(x0.reshape(7, 4, 3)), training)
+
     def test_dtype_mismatch(self):
         bn = L.BatchNorm1d(2, dtype=np.float32)
         with pytest.raises(ValueError, match="batch_norm: dtype"):
@@ -282,12 +310,12 @@ class TestGraphConvBlock:
         block = L.GraphConvBlock(3, 4, 2, rng, dtype=np.float64)
         ring = np.roll(np.eye(5), 1, axis=1)
         lap = ScaledLaplacian(table_from_dense((ring + ring.T) / 2), 2.0)
-        x = Tensor(rng.standard_normal((5, 2 * 3)), requires_grad=True,
+        x = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True,
                    dtype=np.float64)
         gc.disable()
         try:
             with Tape():
-                loss = T.reduce_sum(block.forward(x, lap, batch=2, training=True))
+                loss = T.reduce_sum(block.forward(x, lap, training=True))
             assert kept["conv"]() is None
             assert kept["bn"]() is None
         finally:
@@ -488,3 +516,32 @@ class TestMeshRegressor:
 
         rep = T.gradient_check(f, Tensor(p3d0, dtype=np.float64))
         assert rep.max_rel_err < 1e-4
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_fake_slots_are_inert_in_eval_mode(seed, monkeypatch):
+    """Padding ("fake") slots reach no real output in eval mode: with every
+    fake row overwritten by values of about 1e4 after each upsampling, the
+    desk regressor's meshes are bit-identical. Training mode is not covered:
+    its batch-norm statistics count the fake rows (ROADMAP item 3)."""
+    cfg = resolve_config("desk", {"seed": seed})
+    template, hierarchy, _, _, net = build_models(cfg)
+    rng = np.random.default_rng(seed)
+    j = template.num_joints
+    p2d = Tensor(rng.standard_normal((4, j, 2)), dtype=np.float32)
+    p3d = Tensor(rng.standard_normal((4, j, 3)) * 100, dtype=np.float32)
+    clean = net.forward(p2d, p3d, training=False).data
+    poisoned = []
+
+    def upsample_then_poison(x, h, level):
+        out = upsample_features(x, h, level)
+        fake = h.tree_ids[level] < 0
+        out.data[fake] = rng.uniform(0.5e4, 1.5e4, out.data[fake].shape)
+        poisoned.append(int(fake.sum()))
+        return out
+
+    monkeypatch.setattr(models, "upsample_features", upsample_then_poison)
+    dirty = net.forward(p2d, p3d, training=False).data
+    assert len(poisoned) == hierarchy.num_levels and sum(poisoned) > 0
+    assert np.all(np.isfinite(dirty))
+    np.testing.assert_array_equal(dirty, clean)

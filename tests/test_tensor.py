@@ -171,6 +171,33 @@ class TestBackwardValues:
         np.testing.assert_allclose(ga, ones @ b.data.T)
         np.testing.assert_allclose(gb, a.data.T @ ones)
 
+    def test_matmul_leading_axes_equal_reshape_chain(self):
+        """A (V, B, k) left operand goes through one gemm over its V * B
+        rows: the values and both gradients are the bits of the reshape ->
+        matmul -> reshape chain, in one tape entry instead of three."""
+        g = Tensor(rand(5, 3, 2, seed=3, dtype=np.float32))
+        runs = []
+        for direct in (True, False):
+            a = Tensor(rand(5, 3, 4, seed=1, dtype=np.float32), requires_grad=True)
+            b = Tensor(rand(4, 2, seed=2, dtype=np.float32), requires_grad=True)
+            with Tape() as tape:
+                if direct:
+                    y = T.matmul(a, b)
+                else:
+                    y = T.reshape(T.matmul(T.reshape(a, (15, 4)), b), (5, 3, 2))
+                loss = T.reduce_sum(T.mul(y, g))
+            entries = len(tape.entries) - 2  # without mul and reduce_sum
+            T.backward(loss)
+            runs.append((entries, y.data, a.grad, b.grad))
+        assert runs[0][0] == 1 and runs[1][0] == 3
+        assert runs[0][1].shape == (5, 3, 2) and runs[0][2].shape == (5, 3, 4)
+        for got, want in zip(runs[0][1:], runs[1][1:]):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ShapeError, match="matmul"):
+            T.matmul(Tensor(np.zeros((5, 3, 4))), Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError, match="matmul"):
+            T.matmul(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4, 2))))
+
     def test_gather_scatter_adds_repeats(self):
         a = Tensor(np.array([[1.0], [2.0]]), requires_grad=True, dtype=np.float64)
         (ga,) = grad_of(lambda: T.reduce_sum(T.gather_rows(a, [0, 0, 1])), a)
@@ -238,6 +265,7 @@ PRIMITIVE_CASES = [
     ("scalar_mul", lambda x: T.reduce_sum(T.scalar_mul(x, -1.7)), (5,)),
     ("matmul_a", lambda x: T.reduce_sum(T.matmul(x, Tensor(rand(4, 2, seed=9)))), (3, 4)),
     ("matmul_b", lambda x: T.reduce_sum(T.matmul(Tensor(rand(2, 3, seed=9)), x)), (3, 4)),
+    ("matmul_3d", lambda x: T.reduce_sum(T.mul(T.matmul(x, Tensor(rand(4, 2, seed=9))), Tensor(rand(2, 3, 2, seed=8)))), (2, 3, 4)),
     ("transpose", lambda x: T.reduce_sum(T.mul(T.transpose(x), Tensor(rand(4, 3, seed=9)))), (3, 4)),
     ("transpose3", lambda x: T.reduce_sum(T.mul(T.transpose(x, (2, 0, 1)), Tensor(rand(4, 2, 3, seed=9)))), (2, 3, 4)),
     ("reshape", lambda x: T.reduce_sum(T.mul(T.reshape(x, (6, 2)), Tensor(rand(6, 2, seed=9)))), (3, 4)),
