@@ -120,7 +120,7 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     # --- models end to end
     posenet = PoseLifter(num_joints=6, hidden=24, num_blocks=2, drop_p=0.0,
                          root_index=0, seed=11, dtype=np.float64)
-    target = rng.standard_normal((2, 18))
+    target = rng.standard_normal((2, 6, 3)).transpose(1, 0, 2)
     check("model.posenet",
           lambda x: pose_loss(posenet.forward(x, training=True,
                                               rng=np.random.default_rng(0)),
@@ -136,21 +136,22 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     meshnet = MeshRegressor(template, hierarchy, graph,
                             level_widths=(8, 8, 4), pose_width=4,
                             order=cfg.model.order, seed=12, dtype=np.float64)
-    p2d = Tensor(rng.standard_normal((2, template.num_joints, 2)),
+    p2d = Tensor(rng.standard_normal((2, template.num_joints, 2)).transpose(1, 0, 2),
                  dtype=np.float64)
-    mesh_target = rng.standard_normal((2, template.num_vertices, 3))
+    mesh_target = rng.standard_normal((2, template.num_vertices, 3)).transpose(1, 0, 2)
     check("model.meshnet",
           lambda p3d: vertex_loss(meshnet.forward(p2d, p3d, training=True),
                                   mesh_target),
-          rng.standard_normal((2, template.num_joints, 3)), MODEL_TOL)
+          rng.standard_normal((2, template.num_joints, 3)).transpose(1, 0, 2),
+          MODEL_TOL)
 
-    # --- losses on a small tetrahedron
+    # --- losses on a small tetrahedron, a (V, B, 3) batch of two
     tet = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]) * 10
     faces = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    gt = np.repeat(tet[None], 2, axis=0)
-    pred0 = gt + rng.standard_normal(gt.shape)
+    gt = np.repeat(tet[:, None], 2, axis=1)
+    pred0 = gt + rng.standard_normal((2, 4, 3)).transpose(1, 0, 2)
     reg = np.array([[0.5, 0.5, 0, 0], [0, 0, 0.25, 0.75]])
-    gt_j = np.einsum("jv,bvc->bjc", reg, gt + 1.0)
+    gt_j = np.einsum("jv,vbc->jbc", reg, gt + 1.0)
     check("loss.pose", lambda p: pose_loss(p, gt), pred0, LAYER_TOL)
     check("loss.vertex", lambda p: vertex_loss(p, gt), pred0, LAYER_TOL)
     check("loss.joint", lambda p: joint_loss(p, reg, gt_j), pred0, LAYER_TOL)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .checks import run_gradient_suite
 from .coarsen import graclus_coarsen
-from .config import echo_config, load_config_file, resolve_config
+from .config import (INPUT_MODES, PROFILES, echo_config, load_config_file,
+                     resolve_config)
 from .data import check_sample_shapes, generate_synthetic_dataset
 from .evaluate import posenet_mpjpe, predict, report_lines, run_evaluation
 from .graphs import build_mesh_graph
@@ -31,12 +32,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--template", help="body-spec JSON overriding the config")
     p.add_argument("--dataset", help="JSONL dataset path")
     p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--input", choices=("gt2d", "gt3d", "synth"),
+    p.add_argument("--input", choices=INPUT_MODES,
                    help="evaluation input source")
     p.add_argument("--tau", type=float, action="append",
                    help="F-score threshold in mm (repeatable)")
     p.add_argument("--levels", type=int, help="coarsening levels")
-    p.add_argument("--profile", choices=("desk", "paper"), default="desk",
+    p.add_argument("--profile", choices=PROFILES, default="desk",
                    help="base configuration profile")
 
 

@@ -248,10 +248,18 @@ def checkpoint_config(cfg: RunConfig) -> dict:
 
 
 def check_checkpoint_config(stored: dict, cfg: RunConfig) -> None:
-    """Raise when a checkpoint disagrees with the active run config."""
-    expect = checkpoint_config(cfg)
-    for key in ("template", "levels", "seed", "widths", "K"):
-        if stored.get(key) != expect[key]:
+    """Raise when a checkpoint disagrees with the active run config on a
+    top-level key or a stored ``model`` key but dropout, which only
+    changes training-mode forwards."""
+    expect, model = checkpoint_config(cfg), stored.get("model")
+    if not isinstance(model, dict):
+        raise ValueError(f"checkpoint config mismatch on 'model': checkpoint "
+                         f"has {model!r}")
+    pairs = [(key, stored.get(key), expect[key])
+             for key in ("template", "levels", "seed", "widths", "K")]
+    pairs += [(f"model.{key}", value, expect["model"].get(key))
+              for key, value in model.items() if key != "dropout"]
+    for key, have, want in pairs:
+        if have != want:
             raise ValueError(f"checkpoint config mismatch on {key!r}: "
-                             f"checkpoint has {stored.get(key)!r}, "
-                             f"run config has {expect[key]!r}")
+                             f"checkpoint has {have!r}, run config has {want!r}")

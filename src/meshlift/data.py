@@ -48,11 +48,15 @@ class ErrorSynthConfig:
         return self.p_miss == 0.0 and self.p_swap == 0.0 and self.jitter_sigma_frac == 0.0
 
 
-def check_sample_shapes(samples, template: MeshTemplate) -> None:
-    """Reject an empty sample list, or samples whose joint or mesh vertex
-    count is not the template's, naming the first such sample."""
+def check_sample_shapes(samples, template: MeshTemplate, min_samples: int = 1) -> None:
+    """Reject an empty sample list, one shorter than ``min_samples`` (batch
+    norm trains on 2 or more), or samples whose joint or mesh vertex count
+    is not the template's, naming the first such sample."""
     if not samples:
         raise ValueError("empty dataset")
+    if len(samples) < min_samples:
+        raise ValueError(f"training needs at least {min_samples} samples, "
+                         f"the dataset has {len(samples)}")
     j, v = template.num_joints, template.num_vertices
     for i, s in enumerate(samples):
         for name, arr, want, unit in (("pose2d", s.pose2d, j, "joints"),

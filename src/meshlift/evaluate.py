@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
-from .config import RunConfig
+from .config import INPUT_MODES, RunConfig
 from .data import check_sample_shapes, normalize_2d_pose, synthesize_pose_errors
 from .metrics import f_scores, mpjpe, mpvpe, pa_mpjpe
 from .template import ROOT_INDEX, MeshTemplate
@@ -40,7 +39,7 @@ def lift_poses(posenet, x2d_norm: np.ndarray, batch_size: int = 64) -> np.ndarra
     for start in range(0, n, batch_size):
         chunk = x2d_norm[start:start + batch_size]
         x = Tensor(chunk.reshape(len(chunk), 2 * j), dtype=np.float32)
-        out.append(posenet.forward(x, training=False).data.reshape(-1, j, 3))
+        out.append(posenet.forward(x, training=False).data.transpose(1, 0, 2))
     return np.concatenate(out).astype(np.float64)
 
 
@@ -51,18 +50,18 @@ def regress_meshes(meshnet, x2d_norm: np.ndarray, p3d: np.ndarray,
     out = []
     for start in range(0, n, batch_size):
         sl = slice(start, start + batch_size)
-        pred = meshnet.forward(Tensor(x2d_norm[sl], dtype=np.float32),
-                               Tensor(p3d[sl], dtype=np.float32),
-                               training=False)
-        out.append(pred.data.astype(np.float64))
-    return np.concatenate(out)
+        p2d, pose = (Tensor(a[sl].transpose(1, 0, 2), dtype=np.float32)
+                     for a in (x2d_norm, p3d))
+        pred = meshnet.forward(p2d, pose, training=False)
+        out.append(pred.data.transpose(1, 0, 2))
+    return np.concatenate(out).astype(np.float64)
 
 
 def predict(cfg: RunConfig, template: MeshTemplate, posenet, meshnet,
             samples, input_mode: str | None = None) -> dict:
     """Run the pipeline over a dataset; returns predictions and targets."""
     input_mode = input_mode or cfg.eval.input
-    if input_mode not in ("gt2d", "gt3d", "synth"):
+    if input_mode not in INPUT_MODES:
         raise ValueError(f"unknown input mode {input_mode!r}")
     x2d = _normalized_inputs(samples, input_mode, cfg.synth,
                              template.symmetry_pairs, cfg.seed)

@@ -1,6 +1,7 @@
 """Training losses for the lifter and the mesh regressor.
 
-All losses are L1 sums divided by the batch size. Mesh-surface terms
+Poses are (J, B, 3) and meshes (V, B, 3), as the models return them.
+All losses are L1 sums divided by the batch size B. Mesh-surface terms
 (normal, edge) are driven by the face list: every face contributes its
 three directed edges, and edges shared between faces are counted once
 per face.
@@ -39,37 +40,31 @@ class LossWeights:
             raise ValueError("edge_start_epoch is 1-based and must be >= 1")
 
 
-def _as_constant(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
+def _array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _l1_mean_over_batch(pred: Tensor, gt: Tensor) -> Tensor:
-    b = pred.shape[0]
-    return T.scalar_mul(T.reduce_sum(T.absolute(T.sub(pred, gt))), 1.0 / b)
+def _l1_mean_over_batch(pred: Tensor, gt, batch: int) -> Tensor:
+    gt = Tensor(_array(gt), dtype=pred.dtype)
+    return T.scalar_mul(T.reduce_sum(T.absolute(T.sub(pred, gt))), 1.0 / batch)
 
 
 def pose_loss(pred: Tensor, gt) -> Tensor:
-    """L1 between lifted and ground-truth 3D joints, summed, / batch."""
-    gt = _as_constant(gt, pred.data.dtype)
-    return _l1_mean_over_batch(pred, gt)
+    """L1 between (J, B, 3) lifted and ground-truth joints, summed, / batch."""
+    return _l1_mean_over_batch(pred, gt, pred.shape[1])
 
 
 def vertex_loss(pred_mesh: Tensor, gt_mesh) -> Tensor:
-    gt_mesh = _as_constant(gt_mesh, pred_mesh.data.dtype)
-    return _l1_mean_over_batch(pred_mesh, gt_mesh)
+    return _l1_mean_over_batch(pred_mesh, gt_mesh, pred_mesh.shape[1])
 
 
 def joint_loss(pred_mesh: Tensor, regressor: np.ndarray, gt_joints) -> Tensor:
-    """L1 between joints regressed from the predicted mesh and ground truth."""
-    b, v, _ = pred_mesh.shape
-    j = regressor.shape[0]
-    reg = Tensor(np.asarray(regressor), dtype=pred_mesh.data.dtype)
-    stacked = T.reshape(T.transpose(pred_mesh, (1, 0, 2)), (v, b * 3))
-    joints = T.transpose(T.reshape(T.matmul(reg, stacked), (j, b, 3)), (1, 0, 2))
-    gt_joints = _as_constant(gt_joints, pred_mesh.data.dtype)
-    return _l1_mean_over_batch(joints, gt_joints)
+    """L1 between the (J, V) regressor times the mesh, viewed as (V, B·3)
+    columns, and the (J, B, 3) ground truth."""
+    v, b, _ = pred_mesh.shape
+    reg = Tensor(np.asarray(regressor), dtype=pred_mesh.dtype)
+    joints = T.matmul(reg, T.reshape(pred_mesh, (v, b * 3)))  # (J, B·3)
+    return _l1_mean_over_batch(joints, _array(gt_joints).reshape(-1, b * 3), b)
 
 
 def face_edges(verts: Tensor, faces: np.ndarray) -> Tensor:
@@ -101,12 +96,10 @@ def face_edges(verts: Tensor, faces: np.ndarray) -> Tensor:
 
 
 def _surface_edges(pred_mesh: Tensor, gt_mesh, faces: np.ndarray):
-    """face_edges of the (B, V, 3) prediction, taped, and of the ground
+    """face_edges of the (V, B, 3) prediction, taped, and of the ground
     truth in float64: both (3F, B, 3)."""
-    gt = gt_mesh.data if isinstance(gt_mesh, Tensor) else np.asarray(gt_mesh)
-    gt = Tensor(gt.transpose(1, 0, 2), dtype=np.float64)
-    return (face_edges(T.transpose(pred_mesh, (1, 0, 2)), faces),
-            face_edges(gt, faces).data)
+    gt = Tensor(_array(gt_mesh), dtype=np.float64)
+    return face_edges(pred_mesh, faces), face_edges(gt, faces).data
 
 
 def normal_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
@@ -124,7 +117,7 @@ def normal_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
     n_const = Tensor(np.tile(n, (3, 1, 1)), dtype=pred_mesh.dtype)
     unit = T.normalize_last(edges, eps=DEGENERATE_EDGE_EPS)
     dot = T.reduce_sum(T.mul(unit, n_const), axis=2)
-    return T.scalar_mul(T.reduce_sum(T.absolute(dot)), 1.0 / pred_mesh.shape[0])
+    return T.scalar_mul(T.reduce_sum(T.absolute(dot)), 1.0 / pred_mesh.shape[1])
 
 
 def edge_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
@@ -132,7 +125,7 @@ def edge_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
     edges, gt_edges = _surface_edges(pred_mesh, gt_mesh, faces)
     gt_len = Tensor(np.linalg.norm(gt_edges, axis=2), dtype=pred_mesh.dtype)
     diff = T.sub(T.norm_last(edges), gt_len)  # (3F, B)
-    return T.scalar_mul(T.reduce_sum(T.absolute(diff)), 1.0 / pred_mesh.shape[0])
+    return T.scalar_mul(T.reduce_sum(T.absolute(diff)), 1.0 / pred_mesh.shape[1])
 
 
 def compute_mesh_losses(pred_mesh: Tensor, gt_mesh, gt_joints,

@@ -7,10 +7,10 @@ dense layer, then alternates per-level graph-conv blocks and
 nearest-neighbor upsampling down the hierarchy to the full-resolution
 vertex set.
 
-Graph features live in one (V, batch, f) layout from the joint graph to
-the final vertex reorder: vertices on axis 0, where the Laplacians,
-upsampling and the reorder act, features on the last axis, where the
-filters, batch norm and the skip projection act.
+The batch stays on axis 1 from the lifter's (J, B, 3) pose to the
+regressor's (V, B, 3) mesh, and graph features are (V, B, f): vertices on
+axis 0, where the Laplacians, upsampling and the reorder act, features on
+the last axis, where the filters, batch norm and the skip projection act.
 """
 
 from __future__ import annotations
@@ -75,19 +75,16 @@ class PoseLifter(Module):
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """(B, 2J) normalized keypoints -> (B, 3J) root-relative pose."""
+        """(B, 2J) normalized keypoints -> (J, B, 3) pose, root row exactly 0."""
         if x.ndim != 2 or x.shape[1] != 2 * self.num_joints:
             raise T.ShapeError("pose_lifter", x.shape, (2 * self.num_joints,))
-        b = x.shape[0]
         h = self.fc_in.forward(x)
         for blk in self.blocks:
             h = blk.forward(h, training, rng)
         y = self.fc_out.forward(h)
-        # pin the root joint to the origin by subtracting its own output
-        j = self.num_joints
-        jbf = T.transpose(T.reshape(y, (b, j, 3)), (1, 0, 2))
-        root = T.gather_rows(jbf, [self.root_index])
-        return T.reshape(T.transpose(T.sub(jbf, root), (1, 0, 2)), (b, 3 * j))
+        # joints first, then pin the root to the origin by subtracting itself
+        jb3 = T.transpose(T.reshape(y, (x.shape[0], self.num_joints, 3)), (1, 0, 2))
+        return T.sub(jb3, T.gather_rows(jb3, [self.root_index]))
 
 
 class _Level(Module):
@@ -145,19 +142,17 @@ class MeshRegressor(Module):
         self.head = _Head(self.widths[-1], order, rng, dtype)
 
     def forward(self, p2d: Tensor, p3d: Tensor, training: bool = False) -> Tensor:
-        """(B, J, 2) normalized keypoints + (B, J, 3) pose -> (B, V, 3) mesh (mm)."""
+        """(J, B, 2) normalized keypoints + (J, B, 3) pose -> (V, B, 3) mesh (mm)."""
         j = self.num_joints
-        if p2d.ndim != 3 or p2d.shape[1:] != (j, 2):
+        if p2d.ndim != 3 or (p2d.shape[0], p2d.shape[2]) != (j, 2):
             raise T.ShapeError("mesh_regressor", p2d.shape, (j, 2))
-        if p3d.ndim != 3 or p3d.shape[1:] != (j, 3):
-            raise T.ShapeError("mesh_regressor", p3d.shape, (j, 3))
-        if p2d.shape[0] != p3d.shape[0]:
-            raise T.ShapeError("mesh_regressor", p2d.shape, p3d.shape)
-        b = p2d.shape[0]
+        b = p2d.shape[1]
+        if p3d.shape != (j, b, 3):
+            raise T.ShapeError("mesh_regressor", p3d.shape, (j, b, 3))
         h = self.hierarchy
         c = h.num_levels
 
-        x = T.transpose(T.concat([p2d, p3d], axis=2), (1, 0, 2))  # (J, B, 5)
+        x = T.concat([p2d, p3d], axis=2)                      # (J, B, 5)
         for blk in self.pose_blocks:
             x = blk.forward(x, self.pose_lap, training)
 
@@ -181,4 +176,4 @@ class MeshRegressor(Module):
                 x = upsample_features(x, h, level=level - 1)
 
         x = chebyshev_conv(x, h.scaled_laplacians[0], self.head.filter, batch=b)
-        return T.transpose(apply_perm(x, h), (1, 0, 2))
+        return apply_perm(x, h)

@@ -281,7 +281,7 @@ def _check_finite(parts: dict, epoch: int, it: int) -> None:
 def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     """Pre-train the 2D->3D lifter; emits a per-epoch mean loss trace."""
     template = build_tube_body(cfg.template)
-    check_sample_shapes(samples, template)
+    check_sample_shapes(samples, template, min_samples=2)
     posenet = _build_posenet(cfg, template)
     tc = cfg.train
     named = [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
@@ -304,12 +304,10 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
                 x2d, gt3d, _ = assemble_batch(samples, idxs, synth,
                                               template.symmetry_pairs, rng,
                                               need_mesh=False)
-                b = len(idxs)
-                x = Tensor(x2d.reshape(b, 2 * j), dtype=np.float32)
-                target = gt3d.reshape(b, 3 * j)
+                x = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
                 with Tape():
                     out = posenet.forward(x, training=True, rng=rng)
-                    loss = pose_loss(out, target)
+                    loss = pose_loss(out, gt3d.transpose(1, 0, 2))
                 _check_finite({"pose": loss}, epoch, it + 1)
                 T.backward(loss)
                 tracker.observe(epoch, it + 1)
@@ -337,7 +335,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")
     template = build_tube_body(cfg.template)
-    check_sample_shapes(samples, template)
+    check_sample_shapes(samples, template, min_samples=2)
     # a stage-1 checkpoint has no mesh weights: the mesh regressor then
     # starts from its fresh initialization
     (_, _, _, posenet, meshnet), restored = \
@@ -370,9 +368,10 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                 x2d, gt3d, gt_mesh = assemble_batch(samples, idxs, synth,
                                                     template.symmetry_pairs,
                                                     rng, need_mesh=True)
-                b = len(idxs)
-                x2d_t = Tensor(x2d, dtype=np.float32)
-                x_flat = Tensor(x2d.reshape(b, 2 * j), dtype=np.float32)
+                # the networks and losses take the batch on axis 1
+                x_flat = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
+                x2d = Tensor(x2d.transpose(1, 0, 2), dtype=np.float32)
+                gt3d, gt_mesh = gt3d.transpose(1, 0, 2), gt_mesh.transpose(1, 0, 2)
                 if tc.freeze_posenet:
                     # outside the tape: the lifter is a constant feature
                     # extractor, so its forward pass is not backpropagated
@@ -380,14 +379,12 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                 with Tape():
                     if not tc.freeze_posenet:
                         lifted = posenet.forward(x_flat, training=True, rng=rng)
-                    p3d = T.reshape(lifted, (b, j, 3))
-                    pred = meshnet.forward(x2d_t, p3d, training=True)
+                    pred = meshnet.forward(x2d, lifted, training=True)
                     parts = compute_mesh_losses(pred, gt_mesh, gt3d,
                                                 template.faces,
                                                 template.joint_regressor)
                     if tc.include_pose_loss_stage2:
-                        parts["pose"] = pose_loss(lifted,
-                                                  gt3d.reshape(b, 3 * j))
+                        parts["pose"] = pose_loss(lifted, gt3d)
                     total = total_mesh_loss(parts, weights, epoch)
                 _check_finite(parts, epoch, it + 1)
                 T.backward(total)

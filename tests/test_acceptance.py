@@ -141,8 +141,9 @@ def test_criterion_3_coarsening_invariants():
 def test_criterion_4_loss_identities():
     spec = resolve_config("desk").template
     template, samples = generate_synthetic_dataset(spec, 4, seed=11)
-    gt_mesh = np.stack([s.mesh for s in samples])
-    gt_joints = np.stack([s.pose3d for s in samples])
+    # the losses take the batch on axis 1: (V, B, 3) meshes, (J, B, 3) joints
+    gt_mesh = np.stack([s.mesh for s in samples], axis=1)
+    gt_joints = np.stack([s.pose3d for s in samples], axis=1)
 
     parts = compute_mesh_losses(Tensor(gt_mesh.copy(), dtype=np.float64),
                                 gt_mesh, gt_joints, template.faces,
@@ -156,7 +157,8 @@ def test_criterion_4_loss_identities():
                 and parts["normal"].item() < 1e-9)
 
     rng = np.random.default_rng(17)
-    pred = gt_mesh + rng.standard_normal(gt_mesh.shape) * 5.0
+    noise = rng.standard_normal((len(samples), template.num_vertices, 3))
+    pred = gt_mesh + noise.transpose(1, 0, 2) * 5.0
     base = edge_loss(Tensor(pred, dtype=np.float64), gt_mesh,
                      template.faces).item()
     r = euler_rotation(np.array([0.4, -1.1, 2.3]))

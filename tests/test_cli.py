@@ -240,6 +240,22 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["train-pose", "train-full"])
+    def test_one_sample_dataset_is_rejected(self, workspace, tmp_path, capsys,
+                                            command):
+        data = tmp_path / "one"
+        assert main(["gen-data", "--config", str(workspace["cfg"]), "--seed", "3",
+                     "--out", str(data), "--count", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main([command, "--config", str(workspace["cfg"]), "--seed", "3",
+                   "--dataset", str(data / "dataset.jsonl"), "--out", str(out),
+                   "--checkpoint", str(workspace["pose"] / "posenet.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training needs at least 2 samples, the dataset has 1"]
+        assert not list(out.glob("*.ckpt"))
+
     def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--config", str(workspace["cfg"]), "--seed", "4",
                    "--dataset", str(workspace["data"] / "dataset.jsonl"),

@@ -140,6 +140,17 @@ class TestFilesAndCheckpoints:
         with pytest.raises(ValueError, match="mismatch on 'levels'"):
             check_checkpoint_config(stored, other2)
 
+    @pytest.mark.parametrize("key, value", [
+        ("across_level_residual", False), ("hidden", 128), ("num_blocks", 3),
+        ("pose_width", 32)])
+    def test_checkpoint_cross_check_names_model_keys(self, key, value):
+        cfg = resolve_config("desk")
+        stored = checkpoint_config(cfg)
+        other = resolve_config("desk", {"model": {key: value}})
+        with pytest.raises(ValueError, match=f"mismatch on 'model.{key}': "
+                                             f"checkpoint has "):
+            check_checkpoint_config(stored, other)
+
 
 class TestCodec:
     @pytest.mark.parametrize("layer, path", [

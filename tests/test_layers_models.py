@@ -353,11 +353,17 @@ class TestPoseLifter:
                           root_index=0, seed=7, dtype=dtype)
 
     def test_shapes_and_root_zero(self):
-        net = self.make()
+        """The pose leaves the lifter joints first, (J, B, 3), the layout
+        the regressor and the pose loss take, and the root row is the root
+        joint's output minus itself: exactly 0 in either mode."""
+        net = PoseLifter(num_joints=12, hidden=32, num_blocks=2, drop_p=0.5,
+                         root_index=3, seed=7)
         x = Tensor(np.random.default_rng(0).standard_normal((4, 24)).astype(np.float32))
-        out = net.forward(x, training=False)
-        assert out.shape == (4, 36)
-        np.testing.assert_array_equal(out.data.reshape(4, 12, 3)[:, 0, :], 0.0)
+        for training in (False, True):
+            out = net.forward(x, training=training, rng=np.random.default_rng(2))
+            assert out.shape == (12, 4, 3)
+            np.testing.assert_array_equal(out.data[3], 0.0)
+            assert np.all(np.abs(np.delete(out.data, 3, axis=0)).sum(axis=2) > 0)
 
     def test_seeded_init_deterministic(self):
         a, b = self.make(), self.make()
@@ -398,7 +404,7 @@ class TestPoseLifter:
         net = PoseLifter(num_joints=5, hidden=16, num_blocks=2, drop_p=0.0,
                          root_index=0, seed=1, dtype=np.float64)
         x0 = np.random.default_rng(4).standard_normal((2, 10))
-        target = np.random.default_rng(5).standard_normal((2, 15))
+        target = np.random.default_rng(5).standard_normal((2, 5, 3)).transpose(1, 0, 2)
         rep = T.gradient_check(
             lambda x: T.reduce_sum(T.absolute(
                 T.sub(net.forward(x), Tensor(target, dtype=np.float64)))),
@@ -416,15 +422,29 @@ class TestMeshRegressor:
         return template, hierarchy, net
 
     def inputs(self, b, dtype=np.float32):
+        """(J, B, 2) keypoints and a (J, B, 3) pose."""
         rng = np.random.default_rng(0)
-        return (Tensor(rng.standard_normal((b, 12, 2)), dtype=dtype),
-                Tensor(rng.standard_normal((b, 12, 3)) * 100, dtype=dtype))
+        return (Tensor(rng.standard_normal((b, 12, 2)).transpose(1, 0, 2), dtype=dtype),
+                Tensor(rng.standard_normal((b, 12, 3)).transpose(1, 0, 2) * 100,
+                       dtype=dtype))
 
     def test_output_shape(self):
         template, _, net = self.make()
         p2d, p3d = self.inputs(3)
         out = net.forward(p2d, p3d, training=False)
-        assert out.shape == (3, template.num_vertices, 3)
+        assert out.shape == (template.num_vertices, 3, 3)
+
+    def test_rejects_batch_first_inputs(self):
+        """Inputs are joints first; (B, J, 2) and (B, J, 3) arrays, or a
+        pose whose batch differs from the keypoints', raise ShapeError."""
+        _, _, net = self.make()
+        p2d, p3d = self.inputs(3)
+        batch_first = [Tensor(np.ascontiguousarray(t.data.transpose(1, 0, 2)))
+                       for t in (p2d, p3d)]
+        for args in ((batch_first[0], p3d), (p2d, batch_first[1]), batch_first,
+                     (p2d, Tensor(p3d.data[:, :2]))):
+            with pytest.raises(T.ShapeError, match="mesh_regressor"):
+                net.forward(*args, training=False)
 
     def test_widths_fitting(self):
         assert fit_widths([64, 64, 32, 32], 3) == [64, 64, 32]
@@ -506,9 +526,9 @@ class TestMeshRegressor:
                             level_widths=(8, 8, 4), pose_width=4, order=3,
                             seed=11, dtype=np.float64)
         rng = np.random.default_rng(12)
-        p2d = rng.standard_normal((2, 12, 2))
-        p3d0 = rng.standard_normal((2, 12, 3))
-        target = rng.standard_normal((2, template.num_vertices, 3))
+        p2d = rng.standard_normal((2, 12, 2)).transpose(1, 0, 2)
+        p3d0 = rng.standard_normal((2, 12, 3)).transpose(1, 0, 2)
+        target = rng.standard_normal((2, template.num_vertices, 3)).transpose(1, 0, 2)
 
         def f(p3d):
             out = net.forward(Tensor(p2d, dtype=np.float64), p3d, training=False)
@@ -528,8 +548,9 @@ def test_fake_slots_are_inert_in_eval_mode(seed, monkeypatch):
     template, hierarchy, _, _, net = build_models(cfg)
     rng = np.random.default_rng(seed)
     j = template.num_joints
-    p2d = Tensor(rng.standard_normal((4, j, 2)), dtype=np.float32)
-    p3d = Tensor(rng.standard_normal((4, j, 3)) * 100, dtype=np.float32)
+    p2d = Tensor(rng.standard_normal((4, j, 2)).transpose(1, 0, 2), dtype=np.float32)
+    p3d = Tensor(rng.standard_normal((4, j, 3)).transpose(1, 0, 2) * 100,
+                 dtype=np.float32)
     clean = net.forward(p2d, p3d, training=False).data
     poisoned = []
 

@@ -1,4 +1,7 @@
-"""Loss identities, hand values, and gradient checks."""
+"""Loss identities, hand values, and gradient checks.
+
+The losses take the batch on axis 1: poses (J, B, 3), meshes (V, B, 3).
+"""
 
 import numpy as np
 import pytest
@@ -17,29 +20,29 @@ TETRA_FACES = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
 
 
 def batched(v, b=1):
-    return np.repeat(v[None], b, axis=0)
+    return np.repeat(v[:, None], b, axis=1)
 
 
 class TestHandValues:
     def test_pose_and_vertex_are_l1_over_batch(self):
-        pred = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), dtype=np.float64)
-        gt = np.array([[0.0, 2.0], [3.0, 1.0]])
+        pred = Tensor(np.array([[1.0, 3.0], [2.0, 4.0]]), dtype=np.float64)
+        gt = np.array([[0.0, 3.0], [2.0, 1.0]])
         assert pose_loss(pred, gt).item() == pytest.approx((1 + 3) / 2)
-        pm = Tensor(np.zeros((2, 3, 3)), dtype=np.float64)
-        gm = np.ones((2, 3, 3))
+        pm = Tensor(np.zeros((3, 2, 3)), dtype=np.float64)
+        gm = np.ones((3, 2, 3))
         assert vertex_loss(pm, gm).item() == pytest.approx(18 / 2)
 
     def test_joint_loss_hand_value(self):
         reg = np.array([[1.0, 0, 0], [0, 0.5, 0.5]])
-        pred = Tensor(np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]]),
+        pred = Tensor(np.array([[[0.0, 0, 0]], [[2, 0, 0]], [[0, 2, 0]]]),
                       dtype=np.float64)
-        gt_j = np.array([[[1.0, 0, 0], [1, 1, 0]]])
+        gt_j = np.array([[[1.0, 0, 0]], [[1, 1, 0]]])
         # regressed joints: (0,0,0) and (1,1,0) -> L1 = 1 + 0
         assert joint_loss(pred, reg, gt_j).item() == pytest.approx(1.0)
 
     def test_normal_loss_hand_value(self):
-        gt = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]])
-        pred = Tensor(np.array([[[0.0, 0, 0], [1, 0, 1], [0, 1, 0]]]),
+        gt = np.array([[[0.0, 0, 0]], [[1, 0, 0]], [[0, 1, 0]]])
+        pred = Tensor(np.array([[[0.0, 0, 0]], [[1, 0, 1]], [[0, 1, 0]]]),
                       dtype=np.float64)
         faces = np.array([[0, 1, 2]])
         expect = 1 / np.sqrt(2) + 1 / np.sqrt(3)
@@ -50,7 +53,7 @@ class TestHandValues:
         pred = Tensor(2.0 * gt, dtype=np.float64)
         expect = 0.0
         for a, b in [(0, 1), (1, 2), (2, 0)]:
-            lengths = np.linalg.norm(gt[0][TETRA_FACES[:, b]] - gt[0][TETRA_FACES[:, a]],
+            lengths = np.linalg.norm(gt[TETRA_FACES[:, b], 0] - gt[TETRA_FACES[:, a], 0],
                                      axis=1)
             expect += lengths.sum()
         got = edge_loss(pred, gt, TETRA_FACES).item()
@@ -58,11 +61,11 @@ class TestHandValues:
 
     def test_batch_sum_divided_by_batch(self):
         rng = np.random.default_rng(0)
-        pred1 = rng.standard_normal((1, 4, 3))
-        gt1 = rng.standard_normal((1, 4, 3))
+        pred1 = rng.standard_normal((1, 4, 3)).transpose(1, 0, 2)
+        gt1 = rng.standard_normal((1, 4, 3)).transpose(1, 0, 2)
         v1 = edge_loss(Tensor(pred1, dtype=np.float64), gt1, TETRA_FACES).item()
-        v2 = edge_loss(Tensor(np.repeat(pred1, 3, axis=0), dtype=np.float64),
-                       np.repeat(gt1, 3, axis=0), TETRA_FACES).item()
+        v2 = edge_loss(Tensor(np.repeat(pred1, 3, axis=1), dtype=np.float64),
+                       np.repeat(gt1, 3, axis=1), TETRA_FACES).item()
         assert v2 == pytest.approx(v1, rel=1e-12)
 
 
@@ -70,8 +73,8 @@ class TestIdentitiesAtGroundTruth:
     def test_all_losses_vanish_on_generated_body(self):
         spec = TubeBodySpec(verts_per_ring=3, rings_per_bone=2)
         template, samples = generate_synthetic_dataset(spec, 2, seed=4)
-        gt_mesh = np.stack([s.mesh for s in samples])
-        gt_joints = np.stack([s.pose3d for s in samples])
+        gt_mesh = np.stack([s.mesh for s in samples], axis=1)
+        gt_joints = np.stack([s.pose3d for s in samples], axis=1)
         pred = Tensor(gt_mesh.copy(), dtype=np.float64)
         parts = compute_mesh_losses(pred, gt_mesh, gt_joints,
                                     template.faces, template.joint_regressor)
@@ -83,7 +86,7 @@ class TestIdentitiesAtGroundTruth:
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(1)
         gt = batched(TETRA_VERTS * 50.0, 2)
-        pred_np = gt + rng.standard_normal(gt.shape)
+        pred_np = gt + rng.standard_normal((2, 4, 3)).transpose(1, 0, 2)
         r = euler_rotation(np.array([0.3, -0.8, 1.9]))
         t = np.array([12.0, -5.0, 40.0])
         base_n = normal_loss(Tensor(pred_np, dtype=np.float64), gt, TETRA_FACES).item()
@@ -96,21 +99,21 @@ class TestIdentitiesAtGroundTruth:
             base_e, abs=1e-9)
 
     def test_degenerate_gt_face_contributes_nothing(self):
-        gt = np.array([[[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]])  # collinear
-        pred = Tensor(np.random.default_rng(2).standard_normal((1, 3, 3)),
-                      dtype=np.float64)
+        gt = np.array([[[0.0, 0, 0]], [[1, 0, 0]], [[2, 0, 0]]])  # collinear
+        pred = Tensor(np.random.default_rng(2).standard_normal((1, 3, 3))
+                      .transpose(1, 0, 2), dtype=np.float64)
         val = normal_loss(pred, gt, np.array([[0, 1, 2]])).item()
         assert val == 0.0 and np.isfinite(val)
 
     def test_degenerate_pred_edge_contributes_nothing(self):
-        gt = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]])
-        pred = Tensor(np.array([[[0.0, 0, 1], [0, 0, 1], [0, 1, 0]]]),
+        gt = np.array([[[0.0, 0, 0]], [[1, 0, 0]], [[0, 1, 0]]])
+        pred = Tensor(np.array([[[0.0, 0, 1]], [[0, 0, 1]], [[0, 1, 0]]]),
                       dtype=np.float64)
         val = normal_loss(pred, gt, np.array([[0, 1, 2]])).item()
         assert np.isfinite(val)
         # e01 is zero-length: only e12 and e20 can contribute
-        e12 = (pred.data[0, 2] - pred.data[0, 1])
-        e20 = (pred.data[0, 0] - pred.data[0, 2])
+        e12 = (pred.data[2, 0] - pred.data[1, 0])
+        e20 = (pred.data[0, 0] - pred.data[2, 0])
         expect = sum(abs(e[2] / np.linalg.norm(e)) for e in (e12, e20))
         assert val == pytest.approx(expect, abs=1e-12)
 
@@ -118,18 +121,18 @@ class TestIdentitiesAtGroundTruth:
 def per_edge_set_losses(pred, gt, faces):
     """(normal, edge) loss as the per-edge-set loop they were once taped as:
     the three corner pairs one after another, each summed on its own."""
-    b = len(pred)
-    a0, a1, a2 = (gt[:, faces[:, k]] for k in range(3))
+    b = pred.shape[1]
+    a0, a1, a2 = (gt[faces[:, k]] for k in range(3))
     n = np.cross(a1 - a0, a2 - a0)
     mag = np.linalg.norm(n, axis=2, keepdims=True)
     n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= 1e-12)
     normal = edge = 0.0
     for ka, kb in ((0, 1), (1, 2), (2, 0)):
-        e = pred[:, faces[:, kb]] - pred[:, faces[:, ka]]
+        e = pred[faces[:, kb]] - pred[faces[:, ka]]
         r = np.linalg.norm(e, axis=2, keepdims=True)
         unit = np.divide(e, r, out=np.zeros_like(e), where=r >= 1e-8)
         normal += np.abs((unit * n).sum(axis=2)).sum()
-        gt_len = np.linalg.norm(gt[:, faces[:, kb]] - gt[:, faces[:, ka]], axis=2)
+        gt_len = np.linalg.norm(gt[faces[:, kb]] - gt[faces[:, ka]], axis=2)
         edge += np.abs(r[..., 0] - gt_len).sum()
     return normal / b, edge / b
 
@@ -142,8 +145,9 @@ class TestOneEdgePass:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_losses_equal_per_edge_set_loop_on_desk_body(self, dtype, rtol):
         template, samples = generate_synthetic_dataset(TubeBodySpec(), 4, seed=2)
-        gt = np.stack([s.mesh for s in samples])
-        pred = gt + np.random.default_rng(3).normal(0.0, 5.0, gt.shape)
+        gt = np.stack([s.mesh for s in samples], axis=1)
+        pred = gt + np.random.default_rng(3).normal(
+            0.0, 5.0, (gt.shape[1], gt.shape[0], 3)).transpose(1, 0, 2)
         pred_t = Tensor(pred.astype(dtype), dtype=dtype)
         want_normal, want_edge = per_edge_set_losses(pred_t.data.astype(np.float64),
                                                       gt, template.faces)
@@ -245,8 +249,8 @@ class TestGradients:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.gt = batched(TETRA_VERTS * 10.0, 2)
-        self.pred0 = self.gt + rng.standard_normal(self.gt.shape)
-        self.gt_j = np.einsum("jv,bvc->bjc",
+        self.pred0 = self.gt + rng.standard_normal((2, 4, 3)).transpose(1, 0, 2)
+        self.gt_j = np.einsum("jv,vbc->jbc",
                               np.array([[0.5, 0.5, 0, 0], [0, 0, 0.25, 0.75]]),
                               self.gt + 1.0)
         self.reg = np.array([[0.5, 0.5, 0, 0], [0, 0, 0.25, 0.75]])

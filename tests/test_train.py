@@ -16,7 +16,7 @@ from meshlift.evaluate import predict
 from meshlift.io import load_checkpoint, save_checkpoint
 from meshlift.layers import BN_EPS, BatchNorm1d
 from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
-from meshlift.tensor import Tape, Tensor, backward, reduce_sum, reshape
+from meshlift.tensor import Tape, Tensor, backward, reduce_sum
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
                             train_full, train_posenet)
 
@@ -137,6 +137,17 @@ class TestStage1:
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
             train_posenet(tiny_cfg(), [])
+
+    def test_one_sample_rejected_before_the_lifter_is_built(self, tmp_path,
+                                                             monkeypatch):
+        """Batch norm needs two samples, so one sample would train nothing
+        and save an untrained checkpoint."""
+        _, samples = tiny_data(n=1)
+        monkeypatch.setattr(train, "_build_posenet", None)
+        with pytest.raises(ValueError, match="at least 2 samples, the "
+                                             "dataset has 1$"):
+            train_posenet(tiny_cfg(), samples, out_dir=tmp_path)
+        assert not (tmp_path / "posenet.ckpt").exists()
 
     def test_non_finite_loss_raises_before_backward(self):
         cfg = tiny_cfg()
@@ -260,6 +271,14 @@ class TestStage2:
             s.mesh = None
         with pytest.raises(ValueError, match="mesh"):
             train_full(cfg, samples, s1.checkpoint_path)
+
+    def test_one_sample_rejected_before_the_checkpoint_is_read(self, tmp_path):
+        _, samples = tiny_data(n=1)
+        with pytest.raises(ValueError, match="at least 2 samples, the "
+                                             "dataset has 1$"):
+            train_full(tiny_cfg(), samples, tmp_path / "no-such.ckpt",
+                       out_dir=tmp_path / "s2")
+        assert not (tmp_path / "s2" / "full.ckpt").exists()
 
     def test_non_finite_loss_raises_before_backward(self, tmp_path):
         cfg = tiny_cfg()
@@ -414,14 +433,15 @@ def stage2_step(cfg):
                                            template.symmetry_pairs, None,
                                            need_mesh=True)
     lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
+    x2d, gt3d, mesh = (a.transpose(1, 0, 2) for a in (x2d, gt3d, mesh))
 
     def step():
         with Tape() as tape:
-            pred = meshnet.forward(Tensor(x2d, dtype=np.float32),
-                                   reshape(lifted, (b, j, 3)), training=True)
+            pred = meshnet.forward(Tensor(x2d, dtype=np.float32), lifted,
+                                   training=True)
             parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
                                         template.joint_regressor)
-            parts["pose"] = pose_loss(lifted, gt3d.reshape(b, 3 * j))
+            parts["pose"] = pose_loss(lifted, gt3d)
             total = total_mesh_loss(parts, cfg.train.loss_weights,
                                     cfg.train.stage2_epochs)
         return tape, total
@@ -459,9 +479,11 @@ def test_desk_stage2_tape_budget():
     gather_rows: 228 - 10 * 8 - 38 = 110. The one gather_rows left is
     apply_perm. Mesh activations stay (V, B, f) from the joint graph to
     apply_perm, so no reshape surrounds a batch norm or the skip
-    projection (110 - 25 = 85 entries). The 4 reshapes and 7 transposes
-    left sit around the lift layer, the (B, V, 3) output, the joint
-    regressor and the two surface losses."""
+    projection (110 - 25 = 85 entries). Poses stay (J, B, 3) and meshes
+    (V, B, 3) from the lifter to the losses, so no transpose returns the
+    mesh batch-first or gives a surface loss its view, and the joint loss
+    is one reshape and one matmul (85 - 6 = 79). Left are the 2 reshapes
+    and 2 transposes around the lift layer and the joint loss's reshape."""
     cfg = resolve_config("desk")
     assert cfg.train.freeze_posenet and cfg.train.batch_size == 32
     tape, _ = stage2_step(cfg)()
@@ -471,10 +493,35 @@ def test_desk_stage2_tape_budget():
     assert names.count("batch_norm") == 10
     assert names.count("gather_rows") == 1
     assert names.count("face_edges") == 2
-    assert names.count("reshape") == 4
-    assert names.count("transpose") == 7
+    assert names.count("reshape") == 3
+    assert names.count("transpose") == 2
     assert names.count("matmul") == 3
-    assert len(names) == 85
+    assert len(names) == 79
+
+
+@pytest.mark.parametrize("stage, entries", [(1, 30), (2, 111)])
+def test_desk_training_step_tape_budgets(tmp_path, monkeypatch, stage, entries):
+    """The tape of the first step of a desk training stage (batch 32),
+    with the lifter training. Stage 1 holds the lifter's 26 entries and
+    the pose loss's 4 (32 when the lifter returned a batch-first pose).
+    Stage 2 holds the 79 of test_desk_stage2_tape_budget's frozen-lifter
+    step, the lifter's 26, the pose loss's 4 and its weight, and the input
+    concat (121 before)."""
+    cfg = resolve_config("desk", overrides={"train": {
+        "stage1_epochs": 2, "stage1_decay_epoch": 1, "freeze_posenet": False}})
+    _, samples = generate_synthetic_dataset(cfg.template, 32, seed=1)
+    tapes = []
+
+    def spy(loss):
+        tapes.append([entry[0] for entry in loss.tape.entries])
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", spy)
+    s1 = train_posenet(cfg, samples, out_dir=tmp_path)
+    if stage == 2:
+        tapes.clear()
+        train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
+    assert len(tapes[0]) == entries
 
 
 class TestCheckpointV1:
@@ -506,6 +553,27 @@ class TestCheckpointV1:
         want = predict(cfg, template, posenet, meshnet, samples, "gt2d")
         np.testing.assert_array_equal(got["pred_mesh"], want["pred_mesh"])
         np.testing.assert_array_equal(got["lifted_pose"], want["lifted_pose"])
+
+    def test_every_stored_model_key_but_dropout_is_cross_checked(self, tmp_path):
+        """Across-level skips between equal widths add no tensor, so only
+        the stored model config tells a checkpoint trained with them from
+        one trained without: loading it under the other setting is
+        rejected by name. Dropout changes no eval output and may differ."""
+        over = {**V1_CONFIG, "model": {**V1_CONFIG["model"], "level_widths": [4]}}
+        cfg = resolve_config("desk", overrides=over)
+        _, _, _, posenet, meshnet = build_models(cfg)
+        path = tmp_path / "equal_widths.ckpt"
+        save_models(path, cfg, posenet=posenet, meshnet=meshnet)
+        _, tensors = load_checkpoint(path)
+        assert not any("skip_proj" in name for name in tensors)
+        off = resolve_config("desk", overrides={
+            **over, "model": {**over["model"], "across_level_residual": False}})
+        with pytest.raises(ValueError, match="mismatch on "
+                                             "'model.across_level_residual'"):
+            load_models(path, off)
+        drop = resolve_config("desk", overrides={
+            **over, "model": {**over["model"], "dropout": 0.25}})
+        assert load_models(path, drop)[4] is not None
 
     def test_loads_and_resaves_byte_identical(self, tmp_path):
         cfg = resolve_config("desk", overrides=V1_CONFIG)
