@@ -16,8 +16,8 @@ from . import layers as L
 from . import tensor as T
 from .config import RunConfig, resolve_config
 from .graphs import ChebFilter, build_pose_graph, chebyshev_conv
-from .losses import (LossWeights, edge_loss, joint_loss, normal_loss,
-                     pose_loss, vertex_loss)
+from .losses import (edge_loss, joint_loss, normal_loss, pose_loss,
+                     surface_edges, vertex_loss)
 from .models import MeshRegressor, PoseLifter
 from .tensor import Tensor
 
@@ -133,7 +133,7 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     hierarchy = graclus_coarsen(build_mesh_graph(template), 2, seed=cfg.seed)
     graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                              template.symmetry_pairs)
-    meshnet = MeshRegressor(template, hierarchy, graph,
+    meshnet = MeshRegressor(hierarchy, graph,
                             level_widths=(8, 8, 4), pose_width=4,
                             order=cfg.model.order, seed=12, dtype=np.float64)
     p2d = Tensor(rng.standard_normal((2, template.num_joints, 2)).transpose(1, 0, 2),
@@ -155,7 +155,9 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     check("loss.pose", lambda p: pose_loss(p, gt), pred0, LAYER_TOL)
     check("loss.vertex", lambda p: vertex_loss(p, gt), pred0, LAYER_TOL)
     check("loss.joint", lambda p: joint_loss(p, reg, gt_j), pred0, LAYER_TOL)
-    check("loss.normal", lambda p: normal_loss(p, gt, faces), pred0, LAYER_TOL)
-    check("loss.edge", lambda p: edge_loss(p, gt, faces), pred0, LAYER_TOL)
+    check("loss.normal", lambda p: normal_loss(*surface_edges(p, gt, faces)),
+          pred0, LAYER_TOL)
+    check("loss.edge", lambda p: edge_loss(*surface_edges(p, gt, faces)),
+          pred0, LAYER_TOL)
 
     return results

@@ -4,7 +4,8 @@ Poses are (J, B, 3) and meshes (V, B, 3), as the models return them.
 All losses are L1 sums divided by the batch size B. Mesh-surface terms
 (normal, edge) are driven by the face list: every face contributes its
 three directed edges, and edges shared between faces are counted once
-per face.
+per face. Both read one surface_edges pair, the taped prediction edges
+and the float64 ground-truth edges, so a step tapes one face_edges entry.
 """
 
 from __future__ import annotations
@@ -95,48 +96,50 @@ def face_edges(verts: Tensor, faces: np.ndarray) -> Tensor:
     return T._apply("face_edges", (verts,), verts.data[ib] - verts.data[ia], bw)
 
 
-def _surface_edges(pred_mesh: Tensor, gt_mesh, faces: np.ndarray):
+def surface_edges(pred_mesh: Tensor, gt_mesh, faces: np.ndarray):
     """face_edges of the (V, B, 3) prediction, taped, and of the ground
-    truth in float64: both (3F, B, 3)."""
+    truth in float64: both (3F, B, 3). The normal and edge losses share
+    this one pass."""
     gt = Tensor(_array(gt_mesh), dtype=np.float64)
     return face_edges(pred_mesh, faces), face_edges(gt, faces).data
 
 
-def normal_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
-    """Surface-normal consistency: |<unit predicted edge, gt face normal>|.
+def normal_loss(edges: Tensor, gt_edges: np.ndarray) -> Tensor:
+    """Surface-normal consistency: |<unit predicted edge, gt face normal>|
+    over surface_edges' (3F, B, 3) pair.
 
     Each face contributes its three edges dotted against the face's
     ground-truth unit normal. Degenerate gt faces drop out via a zero
     normal; near-zero predicted edges drop out via the normalize guard.
     """
-    edges, gt_edges = _surface_edges(pred_mesh, gt_mesh, faces)
     ab, _, ca = np.split(gt_edges, 3)  # edge k * F + i belongs to face i
     n = np.cross(ab, -ca)  # (b - a) x (c - a), (F, B, 3)
     mag = np.linalg.norm(n, axis=2, keepdims=True)
     n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= DEGENERATE_FACE_EPS)
-    n_const = Tensor(np.tile(n, (3, 1, 1)), dtype=pred_mesh.dtype)
+    n_const = Tensor(np.tile(n, (3, 1, 1)), dtype=edges.dtype)
     unit = T.normalize_last(edges, eps=DEGENERATE_EDGE_EPS)
     dot = T.reduce_sum(T.mul(unit, n_const), axis=2)
-    return T.scalar_mul(T.reduce_sum(T.absolute(dot)), 1.0 / pred_mesh.shape[1])
+    return T.scalar_mul(T.reduce_sum(T.absolute(dot)), 1.0 / edges.shape[1])
 
 
-def edge_loss(pred_mesh: Tensor, gt_mesh, faces: np.ndarray) -> Tensor:
-    """Edge-length consistency: | ||e|| - ||e*|| | over the face edges."""
-    edges, gt_edges = _surface_edges(pred_mesh, gt_mesh, faces)
-    gt_len = Tensor(np.linalg.norm(gt_edges, axis=2), dtype=pred_mesh.dtype)
+def edge_loss(edges: Tensor, gt_edges: np.ndarray) -> Tensor:
+    """Edge-length consistency: | ||e|| - ||e*|| | over surface_edges'
+    (3F, B, 3) pair."""
+    gt_len = Tensor(np.linalg.norm(gt_edges, axis=2), dtype=edges.dtype)
     diff = T.sub(T.norm_last(edges), gt_len)  # (3F, B)
-    return T.scalar_mul(T.reduce_sum(T.absolute(diff)), 1.0 / pred_mesh.shape[1])
+    return T.scalar_mul(T.reduce_sum(T.absolute(diff)), 1.0 / edges.shape[1])
 
 
 def compute_mesh_losses(pred_mesh: Tensor, gt_mesh, gt_joints,
                         faces: np.ndarray, regressor: np.ndarray) -> dict:
-    """All four mesh-branch losses as scalar tensors."""
-    return {
-        "vertex": vertex_loss(pred_mesh, gt_mesh),
-        "joint": joint_loss(pred_mesh, regressor, gt_joints),
-        "normal": normal_loss(pred_mesh, gt_mesh, faces),
-        "edge": edge_loss(pred_mesh, gt_mesh, faces),
-    }
+    """All four mesh-branch losses as scalar tensors; the surface terms
+    share one surface_edges pass, taped after the vertex and joint losses."""
+    parts = {"vertex": vertex_loss(pred_mesh, gt_mesh),
+             "joint": joint_loss(pred_mesh, regressor, gt_joints)}
+    edges = surface_edges(pred_mesh, gt_mesh, faces)
+    parts["normal"] = normal_loss(*edges)
+    parts["edge"] = edge_loss(*edges)
+    return parts
 
 
 def total_mesh_loss(parts: dict, weights: LossWeights, epoch: int) -> Tensor:

@@ -22,7 +22,6 @@ from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
 from meshlift.graphs import Graph, chebyshev_conv, scaled_laplacian
 from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
                              make_cheb_filter, uniform_weight)
-from meshlift.template import MeshTemplate
 from meshlift.tensor import Tensor
 
 
@@ -110,14 +109,12 @@ class _Head(Module):
 class MeshRegressor(Module):
     """Regress root-relative mesh vertices from 2D keypoints plus a 3D pose."""
 
-    def __init__(self, template: MeshTemplate, hierarchy: CoarseningHierarchy,
-                 pose_graph: Graph, level_widths=(64, 64, 32, 32),
-                 pose_width: int = 64, order: int = 3,
-                 across_level_residual: bool = False, seed: int = 0,
-                 dtype=np.float32):
+    def __init__(self, hierarchy: CoarseningHierarchy, pose_graph: Graph,
+                 level_widths=(64, 64, 32, 32), pose_width: int = 64,
+                 order: int = 3, across_level_residual: bool = False,
+                 seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng([seed, 202])
         c = hierarchy.num_levels
-        self.template = template
         self.hierarchy = hierarchy
         self.pose_lap = scaled_laplacian(pose_graph, seed=hierarchy.seed)
         self.num_joints = pose_graph.num_vertices

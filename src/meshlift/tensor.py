@@ -288,12 +288,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("matmul", (a, b), (ad @ bd).reshape(*shape[:-1], n), bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     _check_tensor("transpose", a)
-    if axes is None:
-        if a.ndim != 2:
-            raise ShapeError("transpose", a.shape)
-        axes = (1, 0)
     axes = tuple(int(ax) for ax in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError("transpose", a.shape, axes)

@@ -97,7 +97,7 @@ def build_models(cfg: RunConfig, dtype=np.float32, template=None):
     pose_graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                                   template.symmetry_pairs)
     posenet = _build_posenet(cfg, template, dtype)
-    meshnet = MeshRegressor(template, hierarchy, pose_graph,
+    meshnet = MeshRegressor(hierarchy, pose_graph,
                             level_widths=cfg.model.level_widths,
                             pose_width=cfg.model.pose_width,
                             order=cfg.model.order, seed=cfg.seed, dtype=dtype,
@@ -216,7 +216,6 @@ class TrainResult:
     trace: list = field(default_factory=list)   # list of dict rows
     dead_parameters: list = field(default_factory=list)
     checkpoint_path: Path | None = None
-    trace_path: Path | None = None
     posenet: object = None
     meshnet: object = None
 
@@ -318,8 +317,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
             writer.row(epoch, it, lr, L_pose=mean, L_total=mean)
     finally:
         writer.close()
-    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead(),
-                         trace_path=writer.path)
+    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead())
     if out_dir:
         result.checkpoint_path = Path(out_dir) / "posenet.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet)
@@ -405,8 +403,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                     break
     finally:
         writer.close()
-    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead(),
-                         trace_path=writer.path)
+    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead())
     if out_dir:
         result.checkpoint_path = Path(out_dir) / "full.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet,

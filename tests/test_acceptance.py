@@ -24,7 +24,7 @@ from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
 from meshlift.evaluate import posenet_mpjpe, run_evaluation
 from meshlift.losses import (LossWeights, compute_mesh_losses, edge_loss,
-                             total_mesh_loss)
+                             surface_edges, total_mesh_loss)
 from meshlift.metrics import f_score, mpjpe, pa_mpjpe
 from meshlift.template import TubeBodySpec, build_tube_body, euler_rotation
 from meshlift.tensor import Tensor
@@ -159,12 +159,12 @@ def test_criterion_4_loss_identities():
     rng = np.random.default_rng(17)
     noise = rng.standard_normal((len(samples), template.num_vertices, 3))
     pred = gt_mesh + noise.transpose(1, 0, 2) * 5.0
-    base = edge_loss(Tensor(pred, dtype=np.float64), gt_mesh,
-                     template.faces).item()
+    base = edge_loss(*surface_edges(Tensor(pred, dtype=np.float64), gt_mesh,
+                                    template.faces)).item()
     r = euler_rotation(np.array([0.4, -1.1, 2.3]))
     t = np.array([31.0, -8.0, 120.0])
-    moved = edge_loss(Tensor(pred @ r.T + t, dtype=np.float64),
-                      gt_mesh @ r.T + t, template.faces).item()
+    moved = edge_loss(*surface_edges(Tensor(pred @ r.T + t, dtype=np.float64),
+                                     gt_mesh @ r.T + t, template.faces)).item()
     rigid_gap = abs(moved - base)
 
     ones = {k: Tensor(np.array(1.0), dtype=np.float64)

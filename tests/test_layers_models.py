@@ -416,7 +416,7 @@ class TestPoseLifter:
 class TestMeshRegressor:
     def make(self, levels=2, dtype=np.float32, **kw):
         template, hierarchy, pose_graph = tiny_setup(levels=levels)
-        net = MeshRegressor(template, hierarchy, pose_graph,
+        net = MeshRegressor(hierarchy, pose_graph,
                             level_widths=(16, 16, 8, 8), pose_width=8,
                             order=3, seed=3, dtype=dtype, **kw)
         return template, hierarchy, net
@@ -522,7 +522,7 @@ class TestMeshRegressor:
 
     def test_gradcheck_through_mesh_net(self):
         template, hierarchy, pose_graph = tiny_setup(levels=2)
-        net = MeshRegressor(template, hierarchy, pose_graph,
+        net = MeshRegressor(hierarchy, pose_graph,
                             level_widths=(8, 8, 4), pose_width=4, order=3,
                             seed=11, dtype=np.float64)
         rng = np.random.default_rng(12)

@@ -10,7 +10,7 @@ from meshlift import tensor as T
 from meshlift.config import from_dict
 from meshlift.losses import (LossWeights, compute_mesh_losses, edge_loss,
                              face_edges, joint_loss, normal_loss, pose_loss,
-                             total_mesh_loss, vertex_loss)
+                             surface_edges, total_mesh_loss, vertex_loss)
 from meshlift.template import TubeBodySpec, build_tube_body, euler_rotation
 from meshlift.data import generate_synthetic_dataset
 from meshlift.tensor import Tensor
@@ -46,7 +46,8 @@ class TestHandValues:
                       dtype=np.float64)
         faces = np.array([[0, 1, 2]])
         expect = 1 / np.sqrt(2) + 1 / np.sqrt(3)
-        assert normal_loss(pred, gt, faces).item() == pytest.approx(expect, abs=1e-12)
+        got = normal_loss(*surface_edges(pred, gt, faces)).item()
+        assert got == pytest.approx(expect, abs=1e-12)
 
     def test_edge_loss_scaling_hand_value(self):
         gt = batched(TETRA_VERTS, 2)
@@ -56,16 +57,18 @@ class TestHandValues:
             lengths = np.linalg.norm(gt[TETRA_FACES[:, b], 0] - gt[TETRA_FACES[:, a], 0],
                                      axis=1)
             expect += lengths.sum()
-        got = edge_loss(pred, gt, TETRA_FACES).item()
+        got = edge_loss(*surface_edges(pred, gt, TETRA_FACES)).item()
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_batch_sum_divided_by_batch(self):
         rng = np.random.default_rng(0)
         pred1 = rng.standard_normal((1, 4, 3)).transpose(1, 0, 2)
         gt1 = rng.standard_normal((1, 4, 3)).transpose(1, 0, 2)
-        v1 = edge_loss(Tensor(pred1, dtype=np.float64), gt1, TETRA_FACES).item()
-        v2 = edge_loss(Tensor(np.repeat(pred1, 3, axis=1), dtype=np.float64),
-                       np.repeat(gt1, 3, axis=1), TETRA_FACES).item()
+        v1 = edge_loss(*surface_edges(Tensor(pred1, dtype=np.float64), gt1,
+                                      TETRA_FACES)).item()
+        v2 = edge_loss(*surface_edges(
+            Tensor(np.repeat(pred1, 3, axis=1), dtype=np.float64),
+            np.repeat(gt1, 3, axis=1), TETRA_FACES)).item()
         assert v2 == pytest.approx(v1, rel=1e-12)
 
 
@@ -89,27 +92,25 @@ class TestIdentitiesAtGroundTruth:
         pred_np = gt + rng.standard_normal((2, 4, 3)).transpose(1, 0, 2)
         r = euler_rotation(np.array([0.3, -0.8, 1.9]))
         t = np.array([12.0, -5.0, 40.0])
-        base_n = normal_loss(Tensor(pred_np, dtype=np.float64), gt, TETRA_FACES).item()
-        base_e = edge_loss(Tensor(pred_np, dtype=np.float64), gt, TETRA_FACES).item()
-        pred_m = Tensor(pred_np @ r.T + t, dtype=np.float64)
-        gt_m = gt @ r.T + t
-        assert normal_loss(pred_m, gt_m, TETRA_FACES).item() == pytest.approx(
-            base_n, abs=1e-9)
-        assert edge_loss(pred_m, gt_m, TETRA_FACES).item() == pytest.approx(
-            base_e, abs=1e-9)
+        base = surface_edges(Tensor(pred_np, dtype=np.float64), gt, TETRA_FACES)
+        base_n, base_e = normal_loss(*base).item(), edge_loss(*base).item()
+        moved = surface_edges(Tensor(pred_np @ r.T + t, dtype=np.float64),
+                              gt @ r.T + t, TETRA_FACES)
+        assert normal_loss(*moved).item() == pytest.approx(base_n, abs=1e-9)
+        assert edge_loss(*moved).item() == pytest.approx(base_e, abs=1e-9)
 
     def test_degenerate_gt_face_contributes_nothing(self):
         gt = np.array([[[0.0, 0, 0]], [[1, 0, 0]], [[2, 0, 0]]])  # collinear
         pred = Tensor(np.random.default_rng(2).standard_normal((1, 3, 3))
                       .transpose(1, 0, 2), dtype=np.float64)
-        val = normal_loss(pred, gt, np.array([[0, 1, 2]])).item()
+        val = normal_loss(*surface_edges(pred, gt, np.array([[0, 1, 2]]))).item()
         assert val == 0.0 and np.isfinite(val)
 
     def test_degenerate_pred_edge_contributes_nothing(self):
         gt = np.array([[[0.0, 0, 0]], [[1, 0, 0]], [[0, 1, 0]]])
         pred = Tensor(np.array([[[0.0, 0, 1]], [[0, 0, 1]], [[0, 1, 0]]]),
                       dtype=np.float64)
-        val = normal_loss(pred, gt, np.array([[0, 1, 2]])).item()
+        val = normal_loss(*surface_edges(pred, gt, np.array([[0, 1, 2]]))).item()
         assert np.isfinite(val)
         # e01 is zero-length: only e12 and e20 can contribute
         e12 = (pred.data[2, 0] - pred.data[1, 0])
@@ -119,22 +120,40 @@ class TestIdentitiesAtGroundTruth:
 
 
 def per_edge_set_losses(pred, gt, faces):
-    """(normal, edge) loss as the per-edge-set loop they were once taped as:
-    the three corner pairs one after another, each summed on its own."""
+    """(normal, edge) loss and their gradients at pred, as the per-edge-set
+    loop they were once taped as: the three corner pairs one after
+    another, each summed and scattered on its own."""
     b = pred.shape[1]
     a0, a1, a2 = (gt[faces[:, k]] for k in range(3))
     n = np.cross(a1 - a0, a2 - a0)
     mag = np.linalg.norm(n, axis=2, keepdims=True)
     n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= 1e-12)
     normal = edge = 0.0
+    d_normal, d_edge = np.zeros_like(pred), np.zeros_like(pred)
     for ka, kb in ((0, 1), (1, 2), (2, 0)):
         e = pred[faces[:, kb]] - pred[faces[:, ka]]
         r = np.linalg.norm(e, axis=2, keepdims=True)
         unit = np.divide(e, r, out=np.zeros_like(e), where=r >= 1e-8)
-        normal += np.abs((unit * n).sum(axis=2)).sum()
+        dot = (unit * n).sum(axis=2, keepdims=True)
+        normal += np.abs(dot).sum()
         gt_len = np.linalg.norm(gt[faces[:, kb]] - gt[faces[:, ka]], axis=2)
         edge += np.abs(r[..., 0] - gt_len).sum()
-    return normal / b, edge / b
+        # d|<e/r, n>|/de = sign(dot) (n - unit dot) / r;  d|r - l|/de = sign * unit
+        for grad, de in ((d_normal, np.sign(dot) * (n - unit * dot) / r),
+                         (d_edge, np.sign(r - gt_len[..., None]) * unit)):
+            np.add.at(grad, faces[:, kb], de)
+            np.add.at(grad, faces[:, ka], -de)
+    return normal / b, edge / b, d_normal / b, d_edge / b
+
+
+def noisy_desk_batch():
+    """The desk body's generated meshes of 4 samples, (V, 4, 3), and a
+    prediction 5 mm of noise away."""
+    template, samples = generate_synthetic_dataset(TubeBodySpec(), 4, seed=2)
+    gt = np.stack([s.mesh for s in samples], axis=1)
+    pred = gt + np.random.default_rng(3).normal(
+        0.0, 5.0, (gt.shape[1], gt.shape[0], 3)).transpose(1, 0, 2)
+    return template, gt, pred
 
 
 class TestOneEdgePass:
@@ -144,17 +163,42 @@ class TestOneEdgePass:
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_losses_equal_per_edge_set_loop_on_desk_body(self, dtype, rtol):
-        template, samples = generate_synthetic_dataset(TubeBodySpec(), 4, seed=2)
-        gt = np.stack([s.mesh for s in samples], axis=1)
-        pred = gt + np.random.default_rng(3).normal(
-            0.0, 5.0, (gt.shape[1], gt.shape[0], 3)).transpose(1, 0, 2)
+        template, gt, pred = noisy_desk_batch()
         pred_t = Tensor(pred.astype(dtype), dtype=dtype)
-        want_normal, want_edge = per_edge_set_losses(pred_t.data.astype(np.float64),
-                                                      gt, template.faces)
-        got_normal = normal_loss(pred_t, gt, template.faces).item()
-        got_edge = edge_loss(pred_t, gt, template.faces).item()
+        want_normal, want_edge, _, _ = per_edge_set_losses(
+            pred_t.data.astype(np.float64), gt, template.faces)
+        edges = surface_edges(pred_t, gt, template.faces)
+        got_normal, got_edge = normal_loss(*edges).item(), edge_loss(*edges).item()
         assert got_normal == pytest.approx(want_normal, rel=rtol)
         assert got_edge == pytest.approx(want_edge, rel=rtol)
+
+    def test_shared_backward_equals_sum_of_per_edge_set_gradients(self):
+        """Both surface terms weighted: their gradients add up at the one
+        face_edges output, and one segment sum carries them to the mesh."""
+        template, gt, pred = noisy_desk_batch()
+        w = LossWeights()
+        pred_t = Tensor(pred, requires_grad=True, dtype=np.float64)
+        gt_j = np.einsum("jv,vbc->jbc", template.joint_regressor, gt)
+        with T.Tape() as tape:
+            parts = compute_mesh_losses(pred_t, gt, gt_j, template.faces,
+                                        template.joint_regressor)
+            loss = T.add(T.scalar_mul(parts["normal"], w.normal),
+                         T.scalar_mul(parts["edge"], w.edge))
+        assert [e[0] for e in tape.entries].count("face_edges") == 1
+        T.backward(loss)
+        *_, d_normal, d_edge = per_edge_set_losses(pred, gt, template.faces)
+        np.testing.assert_allclose(pred_t.grad, w.normal * d_normal + w.edge * d_edge,
+                                   rtol=0, atol=1e-12)
+
+    def test_parts_equal_the_public_losses(self):
+        template, gt, pred = noisy_desk_batch()
+        pred_t = Tensor(pred, dtype=np.float32)
+        gt_j = np.einsum("jv,vbc->jbc", template.joint_regressor, gt)
+        parts = compute_mesh_losses(pred_t, gt, gt_j, template.faces,
+                                    template.joint_regressor)
+        edges = surface_edges(pred_t, gt, template.faces)
+        assert np.array_equal(parts["normal"].data, normal_loss(*edges).data)
+        assert np.array_equal(parts["edge"].data, edge_loss(*edges).data)
 
 
 class TestFaceEdges:
@@ -266,10 +310,10 @@ class TestGradients:
         self.check(lambda p: joint_loss(p, self.reg, self.gt_j))
 
     def test_normal_grad(self):
-        self.check(lambda p: normal_loss(p, self.gt, TETRA_FACES))
+        self.check(lambda p: normal_loss(*surface_edges(p, self.gt, TETRA_FACES)))
 
     def test_edge_grad(self):
-        self.check(lambda p: edge_loss(p, self.gt, TETRA_FACES))
+        self.check(lambda p: edge_loss(*surface_edges(p, self.gt, TETRA_FACES)))
 
     def test_total_grad(self):
         def f(p):

@@ -78,7 +78,7 @@ class TestForwardValues:
         np.testing.assert_allclose(T.concat([a, b], axis=0).data, [[1, 2], [3, 4]])
         np.testing.assert_allclose(T.concat([a, b], axis=1).data, [[1, 2, 3, 4]])
         c = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-        np.testing.assert_allclose(T.transpose(c).data, c.data.T)
+        np.testing.assert_allclose(T.transpose(c, (1, 0)).data, c.data.T)
         d = Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
         np.testing.assert_allclose(T.transpose(d, (1, 0, 2)).data,
                                    d.data.transpose(1, 0, 2))
@@ -266,7 +266,7 @@ PRIMITIVE_CASES = [
     ("matmul_a", lambda x: T.reduce_sum(T.matmul(x, Tensor(rand(4, 2, seed=9)))), (3, 4)),
     ("matmul_b", lambda x: T.reduce_sum(T.matmul(Tensor(rand(2, 3, seed=9)), x)), (3, 4)),
     ("matmul_3d", lambda x: T.reduce_sum(T.mul(T.matmul(x, Tensor(rand(4, 2, seed=9))), Tensor(rand(2, 3, 2, seed=8)))), (2, 3, 4)),
-    ("transpose", lambda x: T.reduce_sum(T.mul(T.transpose(x), Tensor(rand(4, 3, seed=9)))), (3, 4)),
+    ("transpose", lambda x: T.reduce_sum(T.mul(T.transpose(x, (1, 0)), Tensor(rand(4, 3, seed=9)))), (3, 4)),
     ("transpose3", lambda x: T.reduce_sum(T.mul(T.transpose(x, (2, 0, 1)), Tensor(rand(4, 2, 3, seed=9)))), (2, 3, 4)),
     ("reshape", lambda x: T.reduce_sum(T.mul(T.reshape(x, (6, 2)), Tensor(rand(6, 2, seed=9)))), (3, 4)),
     ("concat", lambda x: T.reduce_sum(T.mul(T.concat([x, x], axis=1), Tensor(rand(3, 8, seed=9)))), (3, 4)),
