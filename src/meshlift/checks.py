@@ -83,6 +83,15 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     check("layer.batch_norm.beta", bn_wrt("beta"), bn.beta.data, LAYER_TOL)
     check("layer.batch_norm.eval", lambda x: _weighted_sum(
         bn.forward(x, training=False), np.random.default_rng(3)), bn_x, LAYER_TOL)
+    # the fused ReLU: with beta shifted by 0.1, every output in either mode
+    # lies at least 0.36 from the kink, far beyond a finite-difference step
+    bn.beta.data += 0.1
+    check("layer.batch_norm.relu", lambda x: _weighted_sum(
+        bn.forward(x, training=True, relu=True), np.random.default_rng(3)),
+        bn_x, LAYER_TOL)
+    check("layer.batch_norm.relu.eval", lambda x: _weighted_sum(
+        bn.forward(x, training=False, relu=True), np.random.default_rng(3)),
+        bn_x, LAYER_TOL)
 
     check("layer.dropout",
           lambda x: _weighted_sum(

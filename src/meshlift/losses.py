@@ -131,19 +131,30 @@ def edge_loss(edges: Tensor, gt_edges: np.ndarray) -> Tensor:
 
 
 def compute_mesh_losses(pred_mesh: Tensor, gt_mesh, gt_joints,
-                        faces: np.ndarray, regressor: np.ndarray) -> dict:
+                        faces: np.ndarray, regressor: np.ndarray,
+                        edge_on: bool = True) -> dict:
     """All four mesh-branch losses as scalar tensors; the surface terms
-    share one surface_edges pass, taped after the vertex and joint losses."""
+    share one surface_edges pass, taped after the vertex and joint losses.
+
+    With edge_on False (the edge term is gated off, see total_mesh_loss)
+    the edge loss runs on an untaped view of the same edges: the same ops
+    and bits, for the trace, but no tape entries that backward would never
+    reach.
+    """
     parts = {"vertex": vertex_loss(pred_mesh, gt_mesh),
              "joint": joint_loss(pred_mesh, regressor, gt_joints)}
-    edges = surface_edges(pred_mesh, gt_mesh, faces)
-    parts["normal"] = normal_loss(*edges)
-    parts["edge"] = edge_loss(*edges)
+    edges, gt_edges = surface_edges(pred_mesh, gt_mesh, faces)
+    parts["normal"] = normal_loss(edges, gt_edges)
+    parts["edge"] = edge_loss(edges if edge_on else Tensor._wrap(edges.data),
+                              gt_edges)
     return parts
 
 
 def total_mesh_loss(parts: dict, weights: LossWeights, epoch: int) -> Tensor:
     """Weighted sum of loss parts; the edge term is off before its start epoch.
+    From then on, a taped total needs a taped edge part: one computed with
+    compute_mesh_losses(..., edge_on=False) would add no gradient, and is
+    rejected.
 
     ``epoch`` is 1-based. A "pose" entry, when present, is weighted in
     (second-stage joint training).
@@ -161,6 +172,9 @@ def total_mesh_loss(parts: dict, weights: LossWeights, epoch: int) -> Tensor:
     total = T.add(total, T.scalar_mul(parts["joint"], weights.joint))
     total = T.add(total, T.scalar_mul(parts["normal"], weights.normal))
     if epoch >= weights.edge_start_epoch:
+        if parts["edge"].tape is None and parts["vertex"].tape is not None:
+            raise ValueError(f"epoch {epoch}: the edge term is on, but its part "
+                             "was computed off the tape (edge_on=False)")
         total = T.add(total, T.scalar_mul(parts["edge"], weights.edge))
     if "pose" in parts:
         total = T.add(total, T.scalar_mul(parts["pose"], weights.pose))

@@ -51,9 +51,9 @@ class _ResidualBlock(Module):
         self.drop_p = drop_p
 
     def forward(self, x, training, rng):
-        h = dropout(T.relu(self.bn1.forward(self.fc1.forward(x), training)),
+        h = dropout(self.bn1.forward(self.fc1.forward(x), training, relu=True),
                     self.drop_p, training, rng)
-        h = dropout(T.relu(self.bn2.forward(self.fc2.forward(h), training)),
+        h = dropout(self.bn2.forward(self.fc2.forward(h), training, relu=True),
                     self.drop_p, training, rng)
         return T.add(x, h)
 

@@ -378,9 +378,10 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                     if not tc.freeze_posenet:
                         lifted = posenet.forward(x_flat, training=True, rng=rng)
                     pred = meshnet.forward(x2d, lifted, training=True)
-                    parts = compute_mesh_losses(pred, gt_mesh, gt3d,
-                                                template.faces,
-                                                template.joint_regressor)
+                    parts = compute_mesh_losses(
+                        pred, gt_mesh, gt3d, template.faces,
+                        template.joint_regressor,
+                        edge_on=epoch >= weights.edge_start_epoch)
                     if tc.include_pose_loss_stage2:
                         parts["pose"] = pose_loss(lifted, gt3d)
                     total = total_mesh_loss(parts, weights, epoch)

@@ -146,7 +146,8 @@ class TestGradcheck:
         main(["gradcheck", "--config", str(workspace["cfg"])])
         names = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
         assert {"layer.batch_norm", "layer.batch_norm.gamma",
-                "layer.batch_norm.beta", "layer.batch_norm.eval"} <= names
+                "layer.batch_norm.beta", "layer.batch_norm.eval",
+                "layer.batch_norm.relu", "layer.batch_norm.relu.eval"} <= names
 
 
 class TestTrainOutputs:

@@ -226,6 +226,29 @@ class TestBatchNormOp:
             np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_fused_relu_equals_relu_after(self, shape, training):
+        """relu=True gives the bits of T.relu after the plain op: output,
+        running estimates and all three gradients."""
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(0.4, 3.0, shape).astype(np.float32)
+        g = Tensor(rng.standard_normal(shape).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            bn = self.make(shape[1], np.float32)
+            x = Tensor(x0, requires_grad=True)
+            with Tape():
+                out = (bn.forward(x, training, relu=True) if fused
+                       else T.relu(bn.forward(x, training)))
+                loss = T.reduce_sum(T.mul(out, g))
+            T.backward(loss)
+            runs.append((out.data, bn.running_mean, bn.running_var,
+                         x.grad, bn.gamma.grad, bn.beta.grad))
+        assert 0 < np.count_nonzero(runs[0][0]) < runs[0][0].size
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("training", [True, False])
     def test_one_tape_entry(self, training):
         bn = self.make(4, np.float32)
         x = Tensor(np.random.default_rng(2).standard_normal((6, 4)),
@@ -289,37 +312,50 @@ class TestBatchNormOp:
 
 class TestGraphConvBlock:
     def test_forward_frees_conv_and_batch_norm_outputs(self, monkeypatch):
-        """batch_norm's backward reads its own centred input and relu's its
-        own output, so the tape holds neither the conv output nor the
-        batch-norm output: both are freed during the forward, by reference
-        counting alone."""
+        """The block is two tape entries: the conv, and a batch norm whose
+        ReLU clamps its output in place, so no pre-ReLU copy of the output
+        exists. batch_norm's backward reads its own centred input and its
+        own output, the block's output, and recomputes xhat: the conv
+        output is freed during the forward, by reference counting alone,
+        and the entry keeps exactly two (rows, f) arrays, neither of them
+        xhat."""
         kept = {}
 
-        def keeping(name, fn):
+        def keeping(fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                owner = out.data if out.data.base is None else out.data.base
-                kept[name] = weakref.ref(owner)
+                kept["conv"] = weakref.ref(out.data if out.data.base is None
+                                           else out.data.base)
                 return out
             return wrapper
 
-        monkeypatch.setattr(L, "chebyshev_conv", keeping("conv", L.chebyshev_conv))
-        monkeypatch.setattr(L.BatchNorm1d, "forward",
-                            keeping("bn", L.BatchNorm1d.forward))
+        monkeypatch.setattr(L, "chebyshev_conv", keeping(L.chebyshev_conv))
         rng = np.random.default_rng(0)
         block = L.GraphConvBlock(3, 4, 2, rng, dtype=np.float64)
         ring = np.roll(np.eye(5), 1, axis=1)
         lap = ScaledLaplacian(table_from_dense((ring + ring.T) / 2), 2.0)
         x = Tensor(rng.standard_normal((5, 2, 3)), requires_grad=True,
                    dtype=np.float64)
+        y = L.chebyshev_conv(x, lap, block.filter, batch=2).data.reshape(-1, 4)
         gc.disable()
         try:
-            with Tape():
-                loss = T.reduce_sum(block.forward(x, lap, training=True))
+            with Tape() as tape:
+                out = block.forward(x, lap, training=True)
+                loss = T.reduce_sum(out)
             assert kept["conv"]() is None
-            assert kept["bn"]() is None
         finally:
             gc.enable()
+        names = [e[0] for e in tape.entries]
+        assert names == ["chebyshev_conv", "batch_norm", "reduce_sum"]
+        cells = tape.entries[1][3].__closure__
+        held = [c.cell_contents for c in cells
+                if isinstance(c.cell_contents, np.ndarray)
+                and c.cell_contents.size == out.size]
+        assert len(held) == 2
+        assert sum(a is out.data.base for a in held) == 1
+        centred = next(a for a in held if a is not out.data.base)
+        np.testing.assert_allclose(centred, y - y.mean(axis=0), atol=1e-12)
+        assert out.data.min() == 0.0
         T.backward(loss)
         assert x.grad is not None and block.bn.gamma.grad is not None
 

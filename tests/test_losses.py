@@ -200,6 +200,31 @@ class TestOneEdgePass:
         assert np.array_equal(parts["normal"].data, normal_loss(*edges).data)
         assert np.array_equal(parts["edge"].data, edge_loss(*edges).data)
 
+    def test_gated_off_edge_term_stays_off_the_tape(self):
+        """edge_on=False computes the edge loss from the same edges without
+        recording its 5 entries, and gives the taped value bit for bit; the
+        total rejects that part once the edge term is on, since it would
+        add no gradient."""
+        template, gt, pred = noisy_desk_batch()
+        gt_j = np.einsum("jv,vbc->jbc", template.joint_regressor, gt)
+        parts, names = {}, {}
+        for on in (True, False):
+            pred_t = Tensor(pred, requires_grad=True, dtype=np.float32)
+            with T.Tape() as tape:
+                parts[on] = compute_mesh_losses(pred_t, gt, gt_j, template.faces,
+                                                template.joint_regressor,
+                                                edge_on=on)
+            names[on] = [e[0] for e in tape.entries]
+        assert "norm_last" in names[True] and "norm_last" not in names[False]
+        assert len(names[True]) - len(names[False]) == 5
+        assert not parts[False]["edge"].requires_grad
+        for name, value in parts[True].items():
+            assert np.array_equal(value.data, parts[False][name].data), name
+        w = LossWeights(edge_start_epoch=2)
+        total_mesh_loss(parts[False], w, epoch=1)
+        with pytest.raises(ValueError, match="epoch 2: the edge term is on"):
+            total_mesh_loss(parts[False], w, epoch=2)
+
 
 class TestFaceEdges:
     def test_forward_stacks_the_three_edge_sets(self):

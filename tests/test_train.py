@@ -424,8 +424,9 @@ V1_CONFIG = {
 
 def stage2_step(cfg):
     """Build cfg's models and one batch of generated samples, and return a
-    function that records one frozen-lifter stage-2 forward and loss, with
-    every loss term on, and returns (tape, total)."""
+    function that records one frozen-lifter stage-2 forward and loss at the
+    last stage-2 epoch, with the pose term on and the edge term gated as
+    train_full gates it, and returns (tape, total)."""
     template, _, _, posenet, meshnet = build_models(cfg)
     b, j = cfg.train.batch_size, template.num_joints
     _, samples = generate_synthetic_dataset(cfg.template, b, seed=1)
@@ -435,15 +436,17 @@ def stage2_step(cfg):
     lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
     x2d, gt3d, mesh = (a.transpose(1, 0, 2) for a in (x2d, gt3d, mesh))
 
+    weights, epoch = cfg.train.loss_weights, cfg.train.stage2_epochs
+
     def step():
         with Tape() as tape:
             pred = meshnet.forward(Tensor(x2d, dtype=np.float32), lifted,
                                    training=True)
             parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
-                                        template.joint_regressor)
+                                        template.joint_regressor,
+                                        edge_on=epoch >= weights.edge_start_epoch)
             parts["pose"] = pose_loss(lifted, gt3d)
-            total = total_mesh_loss(parts, cfg.train.loss_weights,
-                                    cfg.train.stage2_epochs)
+            total = total_mesh_loss(parts, weights, epoch)
         return tape, total
     return step
 
@@ -484,31 +487,58 @@ def test_desk_stage2_tape_budget():
     mesh batch-first or gives a surface loss its view, and the joint loss
     is one reshape and one matmul (85 - 6 = 79). Left are the 2 reshapes
     and 2 transposes around the lift layer and the joint loss's reshape.
-    The normal and edge losses share one face_edges entry (79 - 1 = 78)."""
+    The normal and edge losses share one face_edges entry (79 - 1 = 78).
+    Each batch norm carries its ReLU, so no relu entry is left (78 - 10 =
+    68), and the desk profile gates the edge term off on every step, so
+    its 5 entries (norm_last, sub, absolute, reduce_sum, scalar_mul) are
+    computed off the tape (68 - 5 = 63)."""
     cfg = resolve_config("desk")
     assert cfg.train.freeze_posenet and cfg.train.batch_size == 32
+    assert cfg.train.loss_weights.edge_start_epoch > cfg.train.stage2_epochs
     tape, _ = stage2_step(cfg)()
     names = [entry[0] for entry in tape.entries]
     assert "repeat_rows" not in names
     assert names.count("chebyshev_conv") == 11
     assert names.count("batch_norm") == 10
+    assert names.count("relu") == 0
+    assert names.count("norm_last") == 0
     assert names.count("gather_rows") == 1
     assert names.count("face_edges") == 1
     assert names.count("reshape") == 3
     assert names.count("transpose") == 2
     assert names.count("matmul") == 3
-    assert len(names) == 78
+    assert len(names) == 63
 
 
-@pytest.mark.parametrize("stage, entries", [(1, 30), (2, 110)])
+def test_desk_stage2_forward_memory_bound():
+    """After a desk stage-2 forward and loss the tape holds about 22.0 MiB
+    of new allocations: each batch norm keeps its centred input and its
+    output, which its fused ReLU clamps in place, and recomputes xhat in
+    backward. With xhat kept as well, and a separate ReLU output, it held
+    26.5 MiB."""
+    step = stage2_step(resolve_config("desk"))
+    tracemalloc.start()
+    try:
+        tape, total = step()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 24 * 2 ** 20, f"held {held / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("stage, entries", [(1, 26), (2, 91)])
 def test_desk_training_step_tape_budgets(tmp_path, monkeypatch, stage, entries):
     """The tape of the first step of a desk training stage (batch 32),
-    with the lifter training. Stage 1 holds the lifter's 26 entries and
-    the pose loss's 4 (32 when the lifter returned a batch-first pose).
-    Stage 2 holds the 78 of test_desk_stage2_tape_budget's frozen-lifter
-    step, the lifter's 26, the pose loss's 4 and its weight, and the input
-    concat (121 when the lifter returned a batch-first pose, 111 when
-    each surface loss had its own face_edges entry)."""
+    with the lifter training. Stage 1 holds the lifter's 22 entries and
+    the pose loss's 4: 22 + 4 = 26 (30 when each of the lifter's 4 batch
+    norms had its own relu entry, 32 when the lifter returned a
+    batch-first pose). Stage 2 holds the 63 of
+    test_desk_stage2_tape_budget's frozen-lifter step, the lifter's 22,
+    the pose loss's 4 and its weight, and the input concat: 63 + 22 + 4 +
+    1 + 1 = 91 (110 with a relu entry after each of the 14 batch norms
+    and the gated-off edge term on the tape, 121 when the lifter returned
+    a batch-first pose, 111 when each surface loss had its own face_edges
+    entry)."""
     cfg = resolve_config("desk", overrides={"train": {
         "stage1_epochs": 2, "stage1_decay_epoch": 1, "freeze_posenet": False}})
     _, samples = generate_synthetic_dataset(cfg.template, 32, seed=1)
@@ -536,20 +566,22 @@ class TestCheckpointV1:
         assert "meshnet.levels.0.skip_proj" not in tensors
 
     def test_eval_mesh_output_equals_chain_batch_norm(self, monkeypatch):
-        """Eval-mode batch norm keeps the expressions of the chain of
-        elementwise ops it was once taped as, so the regressed meshes are
-        bit-identical to the ones that chain gives."""
+        """Eval-mode batch norm, with its ReLU fused, keeps the expressions
+        of the chain of elementwise ops it was once taped as, followed by
+        a separate ReLU, so the regressed meshes are bit-identical to the
+        ones that chain gives."""
         cfg = resolve_config("desk", overrides=V1_CONFIG)
         template, _, _, posenet, meshnet = load_models(V1_CHECKPOINT, cfg)
         _, samples = generate_synthetic_dataset(cfg.template, 40, seed=5)
         got = predict(cfg, template, posenet, meshnet, samples, "gt2d")
 
-        def chain(bn, x, training):
+        def chain(bn, x, training, relu=False):
             assert not training
             centered = x.data - bn.running_mean.astype(x.dtype)
             denom = np.sqrt(bn.running_var.astype(np.float64)
                             + BN_EPS).astype(x.dtype)
-            return Tensor(centered / denom * bn.gamma.data + bn.beta.data)
+            out = Tensor(centered / denom * bn.gamma.data + bn.beta.data)
+            return T.relu(out) if relu else out
 
         monkeypatch.setattr(BatchNorm1d, "forward", chain)
         want = predict(cfg, template, posenet, meshnet, samples, "gt2d")
