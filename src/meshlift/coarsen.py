@@ -8,6 +8,12 @@ clusters (self-weights collect intra-cluster mass). After all rounds the
 levels are padded with fake (degree-0) vertices and reordered so that the
 children of parent slot i sit at slots 2i and 2i+1 (0-based), which makes
 nearest-neighbor upsampling a plain row gather.
+
+graclus_coarsen is the seeded matching followed by assemble_hierarchy,
+the deterministic step from the matching (raw_parents) to the padded
+levels, Laplacians, perm and tree_ids. A checkpoint stores the matching
+and every lambda_max (hierarchy_record), so loading runs only the
+assembly (hierarchy_from_record): no matching and no power iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from meshlift import tensor as T
-from meshlift.graphs import Graph, ScaledLaplacian, row_table, scaled_laplacian
+from meshlift.graphs import (LAMBDA_MAX_MIN, Graph, LambdaMaxEstimate, ScaledLaplacian,
+                             row_table, scaled_laplacian)
 from meshlift.tensor import ShapeError, Tensor
 
 
@@ -123,8 +130,9 @@ def _reorder(rows: np.ndarray, cols: np.ndarray, ids: np.ndarray) -> Graph:
 def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy:
     """Coarsen a mesh graph `levels` times into a padded binary hierarchy.
 
-    Deterministic for a given seed. Every level c satisfies
-    |V^c| == 2 |V^{c+1}| after padding.
+    Deterministic for a given seed: the seeded matching, then
+    assemble_hierarchy. Every level c satisfies |V^c| == 2 |V^{c+1}|
+    after padding.
     """
     if levels < 1:
         raise ValueError(f"graclus_coarsen: levels must be >= 1, got {levels}")
@@ -141,29 +149,51 @@ def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy
     n = n0
     rows, k = np.nonzero(g.neighbors >= 0)
     cols, weights = g.neighbors[rows, k], g.weights[rows, k]
-    entries = [(rows, cols)]  # adjacency entries per level, pre-padding ids
-    sizes = [n0]
     raw_parents: list[np.ndarray] = []
     for _ in range(levels):
         cluster = _match_round(n, rows, cols, weights, rng)
         raw_parents.append(cluster)
         n, rows, cols, weights = _accumulate_weights(rows, cols, weights, cluster)
+    return assemble_hierarchy(g, raw_parents, seed=seed)
+
+
+def assemble_hierarchy(g: Graph, raw_parents: list[np.ndarray], seed: int = 0,
+                       lambda_max: list[LambdaMaxEstimate] | None = None
+                       ) -> CoarseningHierarchy:
+    """The padded, tree-ordered hierarchy that a matching gives: level
+    graphs, scaled Laplacians, perm and tree_ids from g and raw_parents.
+
+    Each level's lambda_max is estimated from ``seed``, or taken from
+    ``lambda_max`` (one per level, finest first), which skips the power
+    iteration. Deterministic; raw_parents must be a valid matching (every
+    cluster id in 0..max used, by one or two vertices).
+    """
+    n = g.num_vertices
+    rows, k = np.nonzero(g.neighbors >= 0)
+    cols = g.neighbors[rows, k]
+    entries = [(rows, cols)]  # adjacency entries per level, pre-padding ids
+    sizes = [n]
+    for cluster in raw_parents:
+        n = int(cluster.max()) + 1
         # every coarse vertex is real, even a cluster of fake vertices
         loops = np.arange(n, dtype=np.int64)
-        keys = np.union1d(rows * n + cols, loops * n + loops)
-        entries.append((keys // n, keys % n))
+        keys = np.union1d(cluster[rows] * n + cluster[cols], loops * n + loops)
+        rows, cols = keys // n, keys % n
+        entries.append((rows, cols))
         sizes.append(n)
 
     tree_ids = _tree_order(raw_parents, sizes[-1])
     graphs = [_reorder(r, c, ids) for (r, c), ids in zip(entries, tree_ids)]
-    laplacians = [scaled_laplacian(lg, seed=seed) for lg in graphs]
+    estimates = [None] * len(graphs) if lambda_max is None else lambda_max
+    laplacians = [scaled_laplacian(lg, seed=seed, lambda_max=est)
+                  for lg, est in zip(graphs, estimates, strict=True)]
 
-    perm = np.full(n0, -1, dtype=np.int64)
+    perm = np.full(sizes[0], -1, dtype=np.int64)
     real = np.flatnonzero(tree_ids[0] >= 0)
     perm[tree_ids[0][real]] = real
     if np.any(perm < 0):
         missing = int(np.flatnonzero(perm < 0)[0])
-        raise RuntimeError(f"graclus_coarsen: vertex {missing} lost during reordering")
+        raise RuntimeError(f"assemble_hierarchy: vertex {missing} lost during reordering")
 
     num_fake = [ids.size - nr for ids, nr in zip(tree_ids, sizes)]
     return CoarseningHierarchy(
@@ -176,6 +206,68 @@ def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy
         num_fake=num_fake,
         seed=seed,
     )
+
+
+# ------------------------------------------------- checkpoint record
+
+def hierarchy_record(h: CoarseningHierarchy, pose_lap: ScaledLaplacian) -> dict:
+    """The JSON object that rebuilds h and the pose graph's operator:
+    each level's raw_parents, and every operator's lambda_max with its
+    converged flag (JSON keeps float64 values exactly)."""
+    def estimate(lap):
+        return {"value": lap.lambda_max, "converged": lap.converged}
+
+    return {"raw_parents": [p.tolist() for p in h.raw_parents],
+            "lambda_max": [estimate(lap) for lap in h.scaled_laplacians],
+            "pose_lambda_max": estimate(pose_lap)}
+
+
+def hierarchy_from_record(g: Graph, record, levels: int, seed: int = 0):
+    """(hierarchy, pose graph LambdaMaxEstimate) from a hierarchy_record,
+    with no matching and no power iteration; g is the mesh graph that was
+    coarsened. Every malformed or mismatched record raises a ValueError
+    naming the field, before anything is built."""
+    keys = {"raw_parents", "lambda_max", "pose_lambda_max"}
+    if not (isinstance(record, dict) and set(record) == keys):
+        raise ValueError(f"hierarchy must be an object with keys {sorted(keys)}")
+    parents, lams = record["raw_parents"], record["lambda_max"]
+    if not (isinstance(parents, list) and isinstance(lams, list)):
+        raise ValueError("hierarchy raw_parents and lambda_max must be lists")
+    if len(parents) != levels or len(lams) != levels + 1:
+        raise ValueError(f"hierarchy has {len(parents)} levels and {len(lams)} "
+                         f"lambda_max entries, the model {levels} and {levels + 1}")
+    raw_parents = []
+    n = g.num_vertices
+    for c, ids in enumerate(parents):
+        where = f"hierarchy raw_parents[{c}]"
+        if not (isinstance(ids, list) and len(ids) == n):
+            raise ValueError(f"{where}: expected {n} parent ids, one per vertex "
+                             f"of level {c}")
+        if not all(type(p) is int and 0 <= p < n for p in ids):
+            raise ValueError(f"{where}: parent ids must be integers in 0..{n - 1}")
+        cluster = np.asarray(ids, dtype=np.int64)
+        counts = np.bincount(cluster)
+        if counts.min() < 1 or counts.max() > 2:
+            bad = int(np.flatnonzero((counts < 1) | (counts > 2))[0])
+            raise ValueError(f"{where}: cluster {bad} has {counts[bad]} children, "
+                             f"not 1 or 2")
+        raw_parents.append(cluster)
+        n = counts.size
+    estimates = [_estimate(e, f"hierarchy lambda_max[{c}]") for c, e in enumerate(lams)]
+    pose = _estimate(record["pose_lambda_max"], "hierarchy pose_lambda_max")
+    return assemble_hierarchy(g, raw_parents, seed, estimates), pose
+
+
+def _estimate(entry, where: str) -> LambdaMaxEstimate:
+    if not (isinstance(entry, dict) and set(entry) == {"value", "converged"}):
+        raise ValueError(f"{where}: expected an object with keys converged and value")
+    value, converged = entry["value"], entry["converged"]
+    if not (type(value) in (int, float) and LAMBDA_MAX_MIN < value <= 2.0):
+        raise ValueError(f"{where}: value must be a number in "
+                         f"({LAMBDA_MAX_MIN:g}, 2], got {value!r}")
+    if type(converged) is not bool:
+        raise ValueError(f"{where}: converged must be true or false, got {converged!r}")
+    return LambdaMaxEstimate(float(value), converged)
 
 
 def upsample_features(f_coarse: Tensor, hierarchy: CoarseningHierarchy,

@@ -24,6 +24,10 @@ from meshlift.tensor import ShapeError, Tensor
 POWER_ITER_MAX = 200
 POWER_ITER_TOL = 1e-9
 LAMBDA_MAX_FALLBACK = 2.0
+# Smallest usable lambda_max: at or below it 2 / lambda_max blows L up (a
+# zero Laplacian estimates 0), so such an estimate gets the fallback and
+# such a stored value is rejected.
+LAMBDA_MAX_MIN = 1e-9
 # Below this share of non-zeros (nnz / V^2) a scaled Laplacian multiplies
 # by row gathers, at or above it as a dense matrix. One float32 product on
 # 1 BLAS thread, dense vs gathered: 1,944 slots at 0.29% 16.4 vs 1.8 ms,
@@ -304,12 +308,21 @@ class ScaledLaplacian:
         return out
 
 
-def scaled_laplacian(g: Graph, seed: int = 0) -> ScaledLaplacian:
+def scaled_laplacian(g: Graph, seed: int = 0,
+                     lambda_max: LambdaMaxEstimate | None = None) -> ScaledLaplacian:
+    """The graph's L_tilde, with lambda_max estimated by power iteration
+    from ``seed``, or taken as given (a checkpoint's stored estimate).
+
+    An estimate at or below LAMBDA_MAX_MIN (a Laplacian that is 0, as on
+    one vertex) is replaced by LAMBDA_MAX_FALLBACK, marked not converged.
+    """
     lap = normalized_laplacian(g)
-    est = estimate_lambda_max(lap, seed=seed)
-    lam = est.value if est.value > 1e-9 else LAMBDA_MAX_FALLBACK
-    values = (2.0 / lam) * lap.values - _diagonal(lap.cols)
-    return ScaledLaplacian(RowTable(lap.cols, values), lam, est.converged)
+    if lambda_max is None:
+        lambda_max = estimate_lambda_max(lap, seed=seed)
+        if lambda_max.value <= LAMBDA_MAX_MIN:
+            lambda_max = LambdaMaxEstimate(LAMBDA_MAX_FALLBACK, False)
+    values = (2.0 / lambda_max.value) * lap.values - _diagonal(lap.cols)
+    return ScaledLaplacian(RowTable(lap.cols, values), *lambda_max)
 
 
 class ChebFilter:

@@ -1,9 +1,19 @@
 """File formats: body-spec JSON, dataset JSONL, checkpoints, OBJ meshes.
 
 Checkpoint layout: 4-byte magic, u32 little-endian manifest length, a
-JSON manifest (config plus tensor directory), then all tensor payloads
-concatenated as little-endian float32. Byte offsets in the manifest are
-relative to the start of the payload block.
+JSON manifest, then all tensor payloads concatenated as little-endian
+float32. Byte offsets in the manifest are relative to the start of the
+payload block.
+
+The manifest holds ``format_version``, the run ``config`` and the
+``tensors`` directory (name, shape, dtype, byte_offset per tensor).
+Format 2, which the writer emits, adds a ``hierarchy`` object to a
+checkpoint with mesh weights, so that loading rebuilds the structure the
+regressor was trained on instead of coarsening again: ``raw_parents``
+(per level, every vertex's coarse cluster id, as JSON integers),
+``lambda_max`` (per level, finest first, the float64 ``value`` and the
+``converged`` flag) and ``pose_lambda_max`` (the same for the pose
+graph); see coarsen.hierarchy_record. Format 1 files still load.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from .data import PoseSample
 from .template import TubeBodySpec
 
 CHECKPOINT_MAGIC = b"P2M1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSIONS = (1, 2)  # the versions load_checkpoint reads
 
 
 # ---------------------------------------------------------------- body spec
@@ -116,8 +127,10 @@ def load_dataset(path) -> list[PoseSample]:
 
 # --------------------------------------------------------------- checkpoint
 
-def save_checkpoint(path, config: dict, tensors: dict) -> None:
-    """Write config and named float32 arrays in a single binary file.
+def save_checkpoint(path, config: dict, tensors: dict, hierarchy: dict | None = None
+                    ) -> None:
+    """Write config, named float32 arrays and, when given, the hierarchy
+    record in a single format-2 file.
 
     Every tensor is checked before the file is touched. The bytes go to a
     temporary file next to ``path`` that replaces it only once complete,
@@ -137,6 +150,8 @@ def save_checkpoint(path, config: dict, tensors: dict) -> None:
         offset += arr.nbytes
     manifest = {"format_version": CHECKPOINT_VERSION, "config": config,
                 "tensors": entries}
+    if hierarchy is not None:
+        manifest["hierarchy"] = hierarchy
     mbytes = json.dumps(manifest).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -152,7 +167,9 @@ def save_checkpoint(path, config: dict, tensors: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, {name: float32 array}).
+    """Read a checkpoint; returns (config, {name: float32 array}, hierarchy
+    record or None). The record's contents are checked where the model is
+    known (coarsen.hierarchy_from_record).
 
     The manifest is checked against the file size before any payload is
     read, then each tensor is read straight into its own array. Every
@@ -184,7 +201,7 @@ def load_checkpoint(path):
                 raise ValueError(f"checkpoint {path}: tensor {name!r} has "
                                  f"non-finite values")
             tensors[name] = arr.astype(np.float32, copy=False)
-    return manifest["config"], tensors
+    return manifest["config"], tensors, manifest.get("hierarchy")
 
 
 def _checked_entries(path, manifest, payload_size: int):
@@ -193,13 +210,18 @@ def _checked_entries(path, manifest, payload_size: int):
     the others."""
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint {path}: manifest is not a JSON object")
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
+    version = manifest.get("format_version")
+    if type(version) is not int or version not in CHECKPOINT_VERSIONS:
         raise ValueError(f"checkpoint {path}: unsupported format_version "
-                         f"{manifest.get('format_version')!r}")
+                         f"{version!r}")
     if not (isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("tensors"), list)):
         raise ValueError(f"checkpoint {path}: manifest needs a config object "
                          f"and a tensors list")
+    if "hierarchy" in manifest and (version < 2
+                                    or not isinstance(manifest["hierarchy"], dict)):
+        raise ValueError(f"checkpoint {path}: hierarchy needs format_version 2 "
+                         f"and a JSON object")
     entries = []
     names = set()
     for entry in manifest["tensors"]:

@@ -2,7 +2,9 @@
 
 Weights are initialized uniform in (-s, s) with s = sqrt(6 / fan_in);
 fan_in is n_in for linear layers and order * f_in for Chebyshev filters.
-Biases start at zero, batchnorm at gamma=1 beta=0.
+Biases start at zero, batchnorm at gamma=1 beta=0. A layer built with rng
+None draws nothing: its weights are placeholders (uniform_weight) for the
+checkpoint arrays that train.restore_state binds.
 """
 
 from __future__ import annotations
@@ -19,19 +21,24 @@ INIT_BLOCK = 1 << 18  # about this many values per rng.uniform call
 
 
 def uniform_weight(shape: tuple[int, int], fan_in: int,
-                   rng: np.random.Generator, dtype=np.float32) -> Tensor:
+                   rng: np.random.Generator | None, dtype=np.float32) -> Tensor:
     """A trainable (rows, cols) weight, uniform in (-s, s), s = sqrt(6 / fan_in).
 
     The values equal one rng.uniform(-s, s, shape) call cast to dtype, but
     are drawn in row blocks of about INIT_BLOCK values, so no full-size
-    float64 temporary or copy is made.
+    float64 temporary or copy is made. With rng None nothing is drawn or
+    allocated: the weight is a read-only zero view of its shape, a
+    placeholder for the checkpoint array that restore_state binds.
     """
-    s = np.sqrt(6.0 / fan_in)
-    data = np.empty(shape, dtype=dtype)
-    step = max(1, INIT_BLOCK // shape[1])
-    for i in range(0, shape[0], step):
-        block = data[i:i + step]
-        block[...] = rng.uniform(-s, s, size=block.shape)
+    if rng is None:
+        data = np.broadcast_to(np.zeros((), dtype=dtype), shape)
+    else:
+        s = np.sqrt(6.0 / fan_in)
+        data = np.empty(shape, dtype=dtype)
+        step = max(1, INIT_BLOCK // shape[1])
+        for i in range(0, shape[0], step):
+            block = data[i:i + step]
+            block[...] = rng.uniform(-s, s, size=block.shape)
     w = Tensor._wrap(data)
     w.requires_grad = True
     return w

@@ -19,7 +19,7 @@ import numpy as np
 
 from meshlift import tensor as T
 from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
-from meshlift.graphs import Graph, chebyshev_conv, scaled_laplacian
+from meshlift.graphs import Graph, LambdaMaxEstimate, chebyshev_conv, scaled_laplacian
 from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
                              make_cheb_filter, uniform_weight)
 from meshlift.tensor import Tensor
@@ -59,12 +59,16 @@ class _ResidualBlock(Module):
 
 
 class PoseLifter(Module):
-    """Lift flattened normalized 2D keypoints to a root-relative 3D pose (mm)."""
+    """Lift flattened normalized 2D keypoints to a root-relative 3D pose (mm).
+
+    Weights are drawn from the stream [seed, 101]; with draw=False nothing
+    is drawn, and every weight is a placeholder for restore_state.
+    """
 
     def __init__(self, num_joints: int, hidden: int = 4096, num_blocks: int = 2,
                  drop_p: float = 0.5, root_index: int = 0, seed: int = 0,
-                 dtype=np.float32):
-        rng = np.random.default_rng([seed, 101])
+                 dtype=np.float32, draw: bool = True):
+        rng = np.random.default_rng([seed, 101]) if draw else None
         self.num_joints = num_joints
         self.root_index = root_index
         self.fc_in = Linear(2 * num_joints, hidden, rng, dtype)
@@ -107,16 +111,24 @@ class _Head(Module):
 
 
 class MeshRegressor(Module):
-    """Regress root-relative mesh vertices from 2D keypoints plus a 3D pose."""
+    """Regress root-relative mesh vertices from 2D keypoints plus a 3D pose.
+
+    Weights are drawn from the stream [seed, 202]; with draw=False nothing
+    is drawn, and every weight is a placeholder for restore_state. The
+    pose graph's lambda_max is estimated from the hierarchy's seed, or
+    taken from ``pose_lambda_max`` (a checkpoint's stored estimate).
+    """
 
     def __init__(self, hierarchy: CoarseningHierarchy, pose_graph: Graph,
                  level_widths=(64, 64, 32, 32), pose_width: int = 64,
                  order: int = 3, across_level_residual: bool = False,
-                 seed: int = 0, dtype=np.float32):
-        rng = np.random.default_rng([seed, 202])
+                 seed: int = 0, dtype=np.float32, draw: bool = True,
+                 pose_lambda_max: LambdaMaxEstimate | None = None):
+        rng = np.random.default_rng([seed, 202]) if draw else None
         c = hierarchy.num_levels
         self.hierarchy = hierarchy
-        self.pose_lap = scaled_laplacian(pose_graph, seed=hierarchy.seed)
+        self.pose_lap = scaled_laplacian(pose_graph, seed=hierarchy.seed,
+                                         lambda_max=pose_lambda_max)
         self.num_joints = pose_graph.num_vertices
         self.widths = fit_widths(level_widths, c + 1)
         self.pose_width = pose_width

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig, check_checkpoint_config, checkpoint_config
-from .coarsen import graclus_coarsen
+from .coarsen import graclus_coarsen, hierarchy_from_record, hierarchy_record
 from .data import check_sample_shapes, normalize_2d_pose, synthesize_pose_errors
 from .graphs import build_mesh_graph, build_pose_graph
 from .io import load_checkpoint, save_checkpoint
@@ -80,56 +80,79 @@ class RMSprop:
 
 # ------------------------------------------------------------ model assembly
 
-def _build_posenet(cfg: RunConfig, template, dtype=np.float32) -> PoseLifter:
+def _build_posenet(cfg: RunConfig, template, dtype=np.float32,
+                   draw: bool = True) -> PoseLifter:
     return PoseLifter(num_joints=template.num_joints, hidden=cfg.model.hidden,
                       num_blocks=cfg.model.num_blocks,
                       drop_p=cfg.model.dropout, root_index=ROOT_INDEX,
-                      seed=cfg.seed, dtype=dtype)
+                      seed=cfg.seed, dtype=dtype, draw=draw)
 
 
-def build_models(cfg: RunConfig, dtype=np.float32, template=None):
-    """Template, graph hierarchy, and freshly initialized networks; pass
-    ``template`` when cfg's tube body is already built."""
+def build_models(cfg: RunConfig, dtype=np.float32, template=None, structure=None,
+                 restored=()):
+    """Template, graph hierarchy, pose graph and networks; pass ``template``
+    when cfg's tube body is already built.
+
+    The hierarchy is coarsened from cfg.seed, unless ``structure`` gives
+    it as a (hierarchy, pose graph LambdaMaxEstimate) pair, as
+    hierarchy_from_record returns. A network named in ``restored``
+    ("posenet", "meshnet") is built without drawing, for restore_state;
+    the others are drawn from their own streams.
+    """
     if template is None:
         template = build_tube_body(cfg.template)
-    hierarchy = graclus_coarsen(build_mesh_graph(template), cfg.model.levels,
-                                seed=cfg.seed)
+    if structure is None:
+        structure = (graclus_coarsen(build_mesh_graph(template), cfg.model.levels,
+                                     seed=cfg.seed), None)
+    hierarchy, pose_lambda_max = structure
     pose_graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                                   template.symmetry_pairs)
-    posenet = _build_posenet(cfg, template, dtype)
+    posenet = _build_posenet(cfg, template, dtype, draw="posenet" not in restored)
     meshnet = MeshRegressor(hierarchy, pose_graph,
                             level_widths=cfg.model.level_widths,
                             pose_width=cfg.model.pose_width,
                             order=cfg.model.order, seed=cfg.seed, dtype=dtype,
-                            across_level_residual=cfg.model.across_level_residual)
+                            across_level_residual=cfg.model.across_level_residual,
+                            draw="meshnet" not in restored,
+                            pose_lambda_max=pose_lambda_max)
     return template, hierarchy, pose_graph, posenet, meshnet
 
 
-def collect_state(model, prefix: str) -> dict:
-    out = {}
+def _state_slots(model, prefix: str):
+    """(checkpoint name, owner, attribute) of every parameter array and
+    batch-norm running estimate of model."""
     for name, p in model.named_parameters():
-        out[f"{prefix}.{name}"] = p.data
+        yield f"{prefix}.{name}", p, "data"
     for name, bn in model.named_batchnorms():
-        out[f"{prefix}.{name}.running_mean"] = bn.running_mean
-        out[f"{prefix}.{name}.running_var"] = bn.running_var
-    return out
+        for stat in ("running_mean", "running_var"):
+            yield f"{prefix}.{name}.{stat}", bn, stat
+
+
+def collect_state(model, prefix: str) -> dict:
+    return {key: getattr(owner, attr)
+            for key, owner, attr in _state_slots(model, prefix)}
 
 
 def restore_state(model, prefix: str, tensors: dict):
-    """Copy ``tensors`` in place into the arrays that collect_state names;
+    """Make ``tensors`` the arrays that collect_state names, in place of
+    the model's own (no copy when they already have the model's dtype);
     returns those names."""
-    state = collect_state(model, prefix)
-    for key, live in state.items():
+    names = []
+    for key, owner, attr in _state_slots(model, prefix):
+        live = getattr(owner, attr)
         if key not in tensors:
             raise ValueError(f"checkpoint missing tensor {key!r}")
         if tensors[key].shape != live.shape:
             raise ValueError(f"checkpoint tensor {key!r} has shape "
                              f"{tensors[key].shape}, expected {live.shape}")
-        live[...] = tensors[key]
-    return state.keys()
+        setattr(owner, attr, tensors[key].astype(live.dtype, copy=False))
+        names.append(key)
+    return names
 
 
 def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
+    """A format-2 checkpoint; with a mesh regressor it also holds the
+    hierarchy and lambda_max values that the regressor was built on."""
     tensors = {}
     if posenet is not None:
         tensors.update(collect_state(posenet, "posenet"))
@@ -137,21 +160,36 @@ def save_models(path, cfg: RunConfig, posenet=None, meshnet=None) -> None:
         tensors.update(collect_state(meshnet, "meshnet"))
     if not tensors:
         raise ValueError("save_models: nothing to save")
-    save_checkpoint(path, checkpoint_config(cfg), tensors)
+    record = (None if meshnet is None
+              else hierarchy_record(meshnet.hierarchy, meshnet.pose_lap))
+    save_checkpoint(path, checkpoint_config(cfg), tensors, record)
 
 
 def _restore_models(path, cfg: RunConfig, dtype=np.float32, template=None):
-    """build_models' tuple, with the networks the checkpoint holds restored
-    from it, plus the set of restored prefixes ("posenet", "meshnet").
-    A tensor that no restored network owns is rejected."""
-    stored, tensors = load_checkpoint(path)
+    """build_models' tuple, with the networks the checkpoint holds built
+    around its arrays, plus the set of restored prefixes ("posenet",
+    "meshnet"). A stored hierarchy is rebuilt as it is, without
+    coarsening; a file without one (format 1, or a lifter checkpoint) is
+    coarsened from cfg.seed. A malformed hierarchy, or a tensor that no
+    restored network owns, is rejected."""
+    stored, tensors, record = load_checkpoint(path)
     check_checkpoint_config(stored, cfg)
-    models = build_models(cfg, dtype, template)
-    restored, owned = set(), set()
+    if template is None:
+        template = build_tube_body(cfg.template)
+    structure = None
+    if record is not None:
+        try:
+            structure = hierarchy_from_record(build_mesh_graph(template), record,
+                                              cfg.model.levels, seed=cfg.seed)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: {e}") from None
+    restored = {prefix for prefix in ("posenet", "meshnet")
+                if any(k.startswith(prefix + ".") for k in tensors)}
+    models = build_models(cfg, dtype, template, structure, restored)
+    owned = set()
     for prefix, model in (("posenet", models[3]), ("meshnet", models[4])):
-        if any(k.startswith(prefix + ".") for k in tensors):
+        if prefix in restored:
             owned.update(restore_state(model, prefix, tensors))
-            restored.add(prefix)
     for key in tensors:
         if key not in owned:
             raise ValueError(f"checkpoint {path}: tensor {key!r} belongs to "

@@ -2,7 +2,8 @@
 
 The library keeps graphs and Laplacians as padded row tables and builds a
 dense matrix only as the convolution operand. Tests read and write small
-graphs as dense matrices through these helpers.
+graphs as dense matrices through these helpers. assert_same_operators
+and assert_same_hierarchy compare rebuilt structures field by field.
 """
 
 from typing import Sequence
@@ -38,6 +39,30 @@ def edge_list(g: G.Graph) -> np.ndarray:
     rows, k = np.nonzero(g.neighbors >= 0)
     pairs = np.stack([rows, g.neighbors[rows, k]], axis=1).astype(np.int64)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def assert_same_operators(a: Sequence[G.ScaledLaplacian],
+                          b: Sequence[G.ScaledLaplacian]) -> None:
+    """Equal scaled Laplacians: table columns and values, lambda_max and
+    the converged flag, bit for bit."""
+    assert len(a) == len(b)
+    for la, lb in zip(a, b):
+        np.testing.assert_array_equal(la.table.cols, lb.table.cols)
+        np.testing.assert_array_equal(la.table.values, lb.table.values)
+        assert (la.lambda_max, la.converged) == (lb.lambda_max, lb.converged)
+
+
+def assert_same_hierarchy(a, b) -> None:
+    """Two CoarseningHierarchy objects agree in every field."""
+    assert_same_operators(a.scaled_laplacians, b.scaled_laplacians)
+    np.testing.assert_array_equal(a.perm, b.perm)
+    for fa, fb in ((a.tree_ids, b.tree_ids), (a.raw_parents, b.raw_parents)):
+        assert len(fa) == len(fb)
+        for x, y in zip(fa, fb):
+            np.testing.assert_array_equal(x, y)
+    assert [edge_list(g).tolist() for g in a.levels] == \
+        [edge_list(g).tolist() for g in b.levels]
+    assert (a.num_real, a.num_fake, a.seed) == (b.num_real, b.num_fake, b.seed)
 
 
 def dense_spectral_oracle(x: np.ndarray, lap: G.ScaledLaplacian,

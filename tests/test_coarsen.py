@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from meshlift import coarsen as C
+from meshlift import graphs as G
 from meshlift import tensor as T
 from meshlift.graphs import build_mesh_graph, build_pose_graph, scaled_laplacian
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tensor
 
-from dense_views import dense, edge_list, graph_from_dense
+from dense_views import (assert_same_hierarchy, assert_same_operators, dense,
+                         edge_list, graph_from_dense)
 
 GOLDEN = Path(__file__).parent / "data" / "hierarchy_golden.json"
 
@@ -248,6 +250,46 @@ class TestRecordedHierarchy:
                                    case["lambda_max"], rtol=1e-12, atol=0)
         assert ([digest(sl.as_tensor(np.float32).data) for sl in laps]
                 == case["operand_f32"])
+
+
+def record_round_trip(g, h, pose_lap, levels):
+    """Rebuild h and the pose operator from their JSON checkpoint record."""
+    record = json.loads(json.dumps(C.hierarchy_record(h, pose_lap)))
+    return C.hierarchy_from_record(g, record, levels, seed=h.seed)
+
+
+class TestCheckpointRecord:
+    """Coarsening and loading share the assembly step: a hierarchy rebuilt
+    from its record, with no matching and no power iteration, equals the
+    coarsened one in every field, and so does the pose operator."""
+
+    @pytest.mark.parametrize("ring, seed", [(4, 0), (4, 7), (4, 11), (12, 7)],
+                             ids=["desk-seed0", "desk-seed7", "desk-seed11",
+                                  "dense-seed7"])
+    def test_tube_body(self, ring, seed, monkeypatch):
+        t = tube_body(ring)
+        g = build_mesh_graph(t)
+        h = C.graclus_coarsen(g, 3, seed=seed)
+        pose = build_pose_graph(t.num_joints, t.skeleton_edges, t.symmetry_pairs)
+        pose_lap = scaled_laplacian(pose, seed=seed)
+        monkeypatch.setattr(C, "_match_round", None)
+        monkeypatch.setattr(G, "estimate_lambda_max", None)
+        rebuilt, pose_est = record_round_trip(g, h, pose_lap, 3)
+        assert_same_hierarchy(h, rebuilt)
+        assert_same_operators([pose_lap], [scaled_laplacian(pose, lambda_max=pose_est)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graphs_with_fake_and_isolated_vertices(self, seed):
+        a = np.eye(30)
+        rng = np.random.default_rng(seed)
+        for i, j in rng.integers(0, 24, (40, 2)):
+            a[i, j] = a[j, i] = 1.0
+        a[26:, :] = a[:, 26:] = 0.0  # 26-29 fake, 24-25 isolated
+        g = graph_from_dense(a)
+        h = C.graclus_coarsen(g, levels=3, seed=seed)
+        assert_same_hierarchy(h, C.assemble_hierarchy(g, h.raw_parents, seed=seed))
+        rebuilt, _ = record_round_trip(g, h, h.scaled_laplacians[0], 3)
+        assert_same_hierarchy(h, rebuilt)
 
 
 class TestMemory:

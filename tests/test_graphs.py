@@ -209,6 +209,17 @@ class TestLambdaMax:
         sl = G.scaled_laplacian(g)
         np.testing.assert_allclose(dense(sl), [[-1.0]])
 
+    def test_fallback_is_not_converged(self):
+        """The 2.0 that replaces a zero estimate is not a converged one:
+        on one vertex, and on the coarsest level of one edge coarsened
+        once."""
+        sl = G.scaled_laplacian(graph_from_dense(np.array([[1.0]])))
+        assert (sl.lambda_max, sl.converged) == (2.0, False)
+        h = graclus_coarsen(G.build_pose_graph(2, [(0, 1)]), levels=1)
+        fine, coarsest = h.scaled_laplacians
+        assert fine.converged and abs(fine.lambda_max - 1.0) < 1e-9
+        assert (coarsest.lambda_max, coarsest.converged) == (2.0, False)
+
     def test_scaled_spectrum_in_minus1_1(self):
         for seed in range(5):
             g = random_graph(10, seed=seed, fakes=seed % 3)

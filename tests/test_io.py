@@ -201,8 +201,8 @@ class TestCheckpoint:
         p = tmp_path / "c.bin"
         cfg = {"levels": 3, "seed": 7, "widths": [64, 32, 32]}
         save_checkpoint(p, cfg, self.tensors())
-        cfg2, tensors2 = load_checkpoint(p)
-        assert cfg2 == cfg
+        cfg2, tensors2, hierarchy = load_checkpoint(p)
+        assert cfg2 == cfg and hierarchy is None
         for k, v in self.tensors().items():
             assert tensors2[k].dtype == np.float32
             np.testing.assert_array_equal(tensors2[k], v)
@@ -214,12 +214,29 @@ class TestCheckpoint:
         assert raw[:4] == CHECKPOINT_MAGIC == b"P2M1"
         mlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
         manifest = json.loads(raw[8:8 + mlen])
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
+        assert "hierarchy" not in manifest
         names = [t["name"] for t in manifest["tensors"]]
         assert names == ["a.weight", "a.bias", "bn.running_var"]
         offs = [t["byte_offset"] for t in manifest["tensors"]]
         assert offs == [0, 48, 64]
         assert all(t["dtype"] == "f32" for t in manifest["tensors"])
+
+    def test_hierarchy_roundtrip(self, tmp_path):
+        """The record is written as given, after the tensor directory, and
+        read back as it was; the payload layout does not change."""
+        p, plain = tmp_path / "c.bin", tmp_path / "plain.bin"
+        record = {"raw_parents": [[0, 0, 1]], "lambda_max": [
+            {"value": 1.2817621593447, "converged": False}]}
+        save_checkpoint(p, {"seed": 7}, self.tensors(), record)
+        save_checkpoint(plain, {"seed": 7}, self.tensors())
+        cfg, _, back = load_checkpoint(p)
+        assert cfg == {"seed": 7} and back == record
+        raw = p.read_bytes()
+        mlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+        assert list(json.loads(raw[8:8 + mlen])) == [
+            "format_version", "config", "tensors", "hierarchy"]
+        assert raw[8 + mlen:] == plain.read_bytes()[-80:]
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -316,6 +333,13 @@ class TestCheckpoint:
          "tensor 'a.weight' needs non-negative integer shape and byte_offset"),
         (lambda m: {**m, "tensors": [{**m["tensors"][0], "shape": [10 ** 30]}]},
          "tensor 'a.weight' payload out of range"),
+        (lambda m: {**m, "format_version": 3}, "unsupported format_version 3"),
+        (lambda m: {**m, "format_version": True}, "unsupported format_version True"),
+        (lambda m: {**m, "format_version": 2.0}, "unsupported format_version 2.0"),
+        (lambda m: {**m, "hierarchy": []},
+         "hierarchy needs format_version 2 and a JSON object"),
+        (lambda m: {**m, "format_version": 1, "hierarchy": {}},
+         "hierarchy needs format_version 2 and a JSON object"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, edit, match):
         p = tmp_path / "c.bin"
@@ -356,7 +380,7 @@ class TestCheckpoint:
     def test_float64_inputs_are_stored_as_f32(self, tmp_path):
         p = tmp_path / "c.bin"
         save_checkpoint(p, {}, {"x": np.array([1.0, 2.0])})
-        _, tensors = load_checkpoint(p)
+        _, tensors, _ = load_checkpoint(p)
         assert tensors["x"].dtype == np.float32
 
     def test_manifest_length_beyond_file(self, tmp_path):
@@ -442,8 +466,8 @@ def test_v1_fixture_loads_as_plain_byte_slices():
     (mlen,) = struct.unpack("<I", raw[4:8])
     manifest = json.loads(raw[8:8 + mlen])
     payload = raw[8 + mlen:]
-    config, tensors = load_checkpoint(V1_CHECKPOINT)
-    assert config == manifest["config"]
+    config, tensors, hierarchy = load_checkpoint(V1_CHECKPOINT)
+    assert config == manifest["config"] and hierarchy is None
     assert list(tensors) == [t["name"] for t in manifest["tensors"]]
     for t in manifest["tensors"]:
         start = t["byte_offset"]

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, the two-stage loops, and checkpoint round trips."""
 
+import json
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from meshlift import graphs, layers, models, train
 from meshlift import tensor as T
-from meshlift import train
 from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
 from meshlift.evaluate import predict
@@ -19,6 +22,9 @@ from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
 from meshlift.tensor import Tape, Tensor, backward, reduce_sum
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
                             train_full, train_posenet)
+
+from dense_views import assert_same_hierarchy, assert_same_operators
+from test_io import PROPERTY, loads_or_names
 
 TINY = {
     "template": {"verts_per_ring": 3, "rings_per_bone": 2},
@@ -312,20 +318,39 @@ class TestStage2:
         assert s2.dead_parameters == []
 
     def test_mesh_hierarchy_built_once(self, tmp_path, monkeypatch):
-        calls = []
-        coarsen = train.graclus_coarsen
+        """Training coarsens once, in train_full, whose lifter checkpoint
+        has no hierarchy. Loading a format-2 file coarsens nothing,
+        estimates no lambda_max and draws no weight; a format-1 file is
+        coarsened once, and its restored networks draw nothing either."""
+        calls = {"coarsen": 0, "lambda_max": 0, "draws": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return coarsen(*args, **kwargs)
+        def counting(key, fn, counts=lambda *a, **k: True):
+            def wrapper(*args, **kwargs):
+                calls[key] += counts(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(train, "graclus_coarsen", counting)
+        monkeypatch.setattr(train, "graclus_coarsen",
+                            counting("coarsen", train.graclus_coarsen))
+        monkeypatch.setattr(graphs, "estimate_lambda_max",
+                            counting("lambda_max", graphs.estimate_lambda_max))
+        drawing = counting("draws", layers.uniform_weight,
+                           lambda shape, fan_in, rng, dtype: rng is not None)
+        monkeypatch.setattr(layers, "uniform_weight", drawing)
+        monkeypatch.setattr(models, "uniform_weight", drawing)
         cfg = tiny_cfg()
         _, samples = tiny_data()
         s1 = train_posenet(cfg, samples, out_dir=tmp_path / "s1")
-        assert len(calls) == 0
+        assert calls["coarsen"] == 0
         train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
-        assert len(calls) == 1
+        assert calls["coarsen"] == 1
+
+        v1 = resolve_config("desk", overrides=V1_CONFIG)
+        for path, coarsened in ((V2_CHECKPOINT, 0), (V1_CHECKPOINT, 1)):
+            calls.update(coarsen=0, lambda_max=0, draws=0)
+            load_models(path, v1)
+            assert calls == {"coarsen": coarsened, "lambda_max": 4 * coarsened,
+                             "draws": 0}, path.name
 
     def test_tube_body_built_once(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()
@@ -347,8 +372,9 @@ class TestUnknownTensors:
     def write(self, path, cfg, extra, meshnet=True):
         _, _, _, posenet, mesh = build_models(cfg)
         save_models(path, cfg, posenet=posenet, meshnet=mesh if meshnet else None)
-        stored, tensors = load_checkpoint(path)
-        save_checkpoint(path, stored, {**tensors, extra: np.ones(3, np.float32)})
+        stored, tensors, record = load_checkpoint(path)
+        save_checkpoint(path, stored, {**tensors, extra: np.ones(3, np.float32)},
+                        record)
 
     @pytest.mark.parametrize("extra, meshnet", [
         ("meshnet.levels.9.a.bn.gamma", True),
@@ -420,6 +446,15 @@ V1_CONFIG = {
               "levels": 2, "level_widths": [4, 3, 2],
               "across_level_residual": True},
 }
+# The same model saved again in format 2, with its hierarchy record.
+V2_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v2_tiny.ckpt")
+
+
+def split_checkpoint(path):
+    """(manifest, payload bytes) of a checkpoint file."""
+    raw = Path(path).read_bytes()
+    mlen = int.from_bytes(raw[4:8], "little")
+    return json.loads(raw[8:8 + mlen]), raw[8 + mlen:]
 
 
 def stage2_step(cfg):
@@ -558,7 +593,7 @@ def test_desk_training_step_tape_budgets(tmp_path, monkeypatch, stage, entries):
 
 class TestCheckpointV1:
     def test_fixture_covers_every_tensor_kind(self):
-        _, tensors = load_checkpoint(V1_CHECKPOINT)
+        _, tensors, _ = load_checkpoint(V1_CHECKPOINT)
         for name in ("posenet.blocks.0.bn1.running_var",
                      "meshnet.levels.1.skip_proj", "meshnet.levels.2.b.filter.1",
                      "meshnet.head.filter.0"):
@@ -598,7 +633,7 @@ class TestCheckpointV1:
         _, _, _, posenet, meshnet = build_models(cfg)
         path = tmp_path / "equal_widths.ckpt"
         save_models(path, cfg, posenet=posenet, meshnet=meshnet)
-        _, tensors = load_checkpoint(path)
+        _, tensors, _ = load_checkpoint(path)
         assert not any("skip_proj" in name for name in tensors)
         off = resolve_config("desk", overrides={
             **over, "model": {**over["model"], "across_level_residual": False}})
@@ -610,9 +645,180 @@ class TestCheckpointV1:
         assert load_models(path, drop)[4] is not None
 
     def test_loads_and_resaves_byte_identical(self, tmp_path):
+        """The writer emits format 2, which adds the hierarchy record; the
+        config, the tensor directory and every payload byte survive the
+        load and save exactly, and the file is the committed v2 fixture."""
         cfg = resolve_config("desk", overrides=V1_CONFIG)
         _, _, _, posenet, meshnet = load_models(V1_CHECKPOINT, cfg)
         assert posenet is not None and meshnet is not None
         out = tmp_path / "resaved.ckpt"
         save_models(out, cfg, posenet=posenet, meshnet=meshnet)
-        assert out.read_bytes() == V1_CHECKPOINT.read_bytes()
+        (old, old_payload), (new, new_payload) = map(split_checkpoint,
+                                                     (V1_CHECKPOINT, out))
+        assert (old["format_version"], new["format_version"]) == (1, 2)
+        assert new["config"] == old["config"] and new["tensors"] == old["tensors"]
+        assert new_payload == old_payload
+        assert out.read_bytes() == V2_CHECKPOINT.read_bytes()
+
+
+def set_item(key, index, value):
+    def edit(record):
+        record[key][index] = value
+    return edit
+
+
+def set_parents(level, ids_of):
+    def edit(record):
+        record["raw_parents"][level] = ids_of(record["raw_parents"][level])
+    return edit
+
+
+def unused_id(ids):
+    """Renumber cluster 0 as max + 1, so that id 0 has no children."""
+    top = max(ids) + 1
+    return [top if p == 0 else p for p in ids]
+
+
+class TestCheckpointV2:
+    """Format 2 carries the hierarchy and every lambda_max, so loading
+    rebuilds the structure the regressor was trained on without coarsening
+    or estimating, and builds the restored networks around the file's
+    arrays without drawing."""
+
+    CFG = resolve_config("desk", overrides=V1_CONFIG)
+
+    def test_loads_like_the_v1_file(self):
+        v1 = load_models(V1_CHECKPOINT, self.CFG)
+        v2 = load_models(V2_CHECKPOINT, self.CFG)
+        assert_same_hierarchy(v1[1], v2[1])
+        assert_same_operators([v1[4].pose_lap], [v2[4].pose_lap])
+        _, samples = generate_synthetic_dataset(self.CFG.template, 40, seed=5)
+        for mode in ("gt2d", "gt3d"):
+            a = predict(self.CFG, v1[0], v1[3], v1[4], samples, mode)
+            b = predict(self.CFG, v2[0], v2[3], v2[4], samples, mode)
+            np.testing.assert_array_equal(a["pred_mesh"], b["pred_mesh"])
+            np.testing.assert_array_equal(a["lifted_pose"], b["lifted_pose"])
+
+    def test_resaves_byte_identical(self, tmp_path):
+        _, _, _, posenet, meshnet = load_models(V2_CHECKPOINT, self.CFG)
+        out = tmp_path / "resaved.ckpt"
+        save_models(out, self.CFG, posenet=posenet, meshnet=meshnet)
+        assert out.read_bytes() == V2_CHECKPOINT.read_bytes()
+
+    def test_restored_parameters_are_the_loaded_arrays(self, monkeypatch):
+        """Each parameter and running estimate is the array the file was
+        read into: no second copy, and training can update it in place."""
+        loaded = []
+
+        def spy(path):
+            loaded.append(load_checkpoint(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(train, "load_checkpoint", spy)
+        _, _, _, posenet, meshnet = load_models(V2_CHECKPOINT, self.CFG)
+        tensors = loaded[0][1]
+        state = {**train.collect_state(posenet, "posenet"),
+                 **train.collect_state(meshnet, "meshnet")}
+        assert state.keys() == tensors.keys()
+        for name, arr in state.items():
+            assert arr is tensors[name], name
+            assert arr.flags.writeable and arr.flags.c_contiguous, name
+
+    def edit_hierarchy(self, tmp_path, edit):
+        """The v2 fixture with edit(record) applied to its hierarchy."""
+        manifest, payload = split_checkpoint(V2_CHECKPOINT)
+        edit(manifest["hierarchy"])
+        mbytes = json.dumps(manifest).encode("utf-8")
+        p = tmp_path / "edited.ckpt"
+        p.write_bytes(b"P2M1" + len(mbytes).to_bytes(4, "little") + mbytes + payload)
+        return p
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda r: r.pop("pose_lambda_max"), "hierarchy must be an object with keys"),
+        (lambda r: r.update(extra=1), "hierarchy must be an object with keys"),
+        (lambda r: r.update(raw_parents={}),
+         "hierarchy raw_parents and lambda_max must be lists"),
+        (lambda r: r["raw_parents"].append(r["raw_parents"][-1]),
+         "hierarchy has 3 levels and 3 lambda_max entries, the model 2 and 3"),
+        (lambda r: r["lambda_max"].pop(), "hierarchy has 2 levels and 2 lambda_max"),
+        (set_parents(0, lambda ids: ids[:-1]),
+         "hierarchy raw_parents[0]: expected 66 parent ids, one per vertex of level 0"),
+        (set_parents(1, lambda ids: ids + [0]),
+         "hierarchy raw_parents[1]: expected 35 parent ids"),
+        (set_parents(0, lambda ids: [-1] + ids[1:]),
+         "hierarchy raw_parents[0]: parent ids must be integers in 0..65"),
+        (set_parents(1, lambda ids: ids[:-1] + [35]),
+         "hierarchy raw_parents[1]: parent ids must be integers in 0..34"),
+        (set_parents(0, lambda ids: [1.0] + ids[1:]), "parent ids must be integers"),
+        (set_parents(0, lambda ids: [True] + ids[1:]), "parent ids must be integers"),
+        (set_parents(0, unused_id), "hierarchy raw_parents[0]: cluster 0 has 0 "
+                                    "children, not 1 or 2"),
+        (set_parents(0, lambda ids: [0] * len(ids)),
+         "hierarchy raw_parents[0]: cluster 0 has 66 children, not 1 or 2"),
+        (set_item("lambda_max", 1, {"value": float("nan"), "converged": False}),
+         "hierarchy lambda_max[1]: value must be a number in (1e-09, 2], got nan"),
+        (set_item("lambda_max", 0, {"value": float("inf"), "converged": False}),
+         "got inf"),
+        (set_item("lambda_max", 2, {"value": 2.5, "converged": False}), "got 2.5"),
+        (set_item("lambda_max", 2, {"value": 0.0, "converged": True}), "got 0.0"),
+        (set_item("lambda_max", 2, {"value": -1.0, "converged": True}), "got -1.0"),
+        (set_item("lambda_max", 2, {"value": 1e-300, "converged": True}), "got 1e-300"),
+        (set_item("lambda_max", 2, {"value": "1.5", "converged": True}), "got '1.5'"),
+        (set_item("lambda_max", 2, {"value": True, "converged": True}), "got True"),
+        (set_item("lambda_max", 0, {"value": 1.5}),
+         "hierarchy lambda_max[0]: expected an object with keys converged and value"),
+        (set_item("lambda_max", 0, 1.5), "expected an object"),
+        (set_item("lambda_max", 0, {"value": 1.5, "converged": 1}),
+         "hierarchy lambda_max[0]: converged must be true or false, got 1"),
+        (lambda r: r.update(pose_lambda_max={"value": 1.5, "converged": None}),
+         "hierarchy pose_lambda_max: converged must be true or false, got None"),
+    ])
+    def test_malformed_hierarchy_rejected_before_any_network(self, tmp_path,
+                                                             monkeypatch, edit, match):
+        p = self.edit_hierarchy(tmp_path, edit)
+
+        def no_build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(train, "build_models", no_build)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'checkpoint {p}: ')}"
+                                             f".*{re.escape(match)}"):
+            load_models(p, self.CFG)
+
+    def test_valid_edits_load(self, tmp_path):
+        """The bounds are inclusive at 2, and a converged flag may differ
+        from the one the estimate had."""
+        def edit(record):
+            record["lambda_max"][0] = {"value": 2, "converged": True}
+            record["pose_lambda_max"]["converged"] = False
+        _, hierarchy, _, _, meshnet = load_models(self.edit_hierarchy(tmp_path, edit),
+                                                  self.CFG)
+        assert hierarchy.scaled_laplacians[0].lambda_max == 2.0
+        assert not meshnet.pose_lap.converged
+
+    @pytest.fixture(scope="class")
+    def hierarchy_span(self):
+        raw = V2_CHECKPOINT.read_bytes()
+        mlen = int.from_bytes(raw[4:8], "little")
+        return raw.index(b'"hierarchy"'), 8 + mlen
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_any_truncation_loads_or_names_file(self, tmp_path_factory, data):
+        raw = V2_CHECKPOINT.read_bytes()
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        p = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
+        p.write_bytes(raw[:cut])
+        loads_or_names(lambda path: load_models(path, self.CFG), p, f"checkpoint {p}: ")
+
+    @PROPERTY
+    @given(data=st.data(), value=st.integers(0, 255))
+    def test_any_hierarchy_byte_change_loads_or_names_file(self, tmp_path_factory,
+                                                           hierarchy_span, data, value):
+        raw = bytearray(V2_CHECKPOINT.read_bytes())
+        start, end = hierarchy_span
+        at = data.draw(st.integers(start, end - 1), label="at")
+        raw[at] = value
+        p = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
+        p.write_bytes(bytes(raw))
+        loads_or_names(lambda path: load_models(path, self.CFG), p, f"checkpoint {p}: ")
