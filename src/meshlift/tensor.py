@@ -21,8 +21,10 @@ takes a (..., k) left operand and a (k, n) right one. Every other batched
 layout is expressed through explicit reshape / transpose / gather ops, so
 every recorded op keeps a direct, auditable backward rule. The fused
 primitives (graphs.chebyshev_conv, coarsen.upsample_features,
-layers.BatchNorm1d's batch_norm and losses.face_edges) record one entry
-each through _apply, with their own backward rule.
+layers.BatchNorm1d's batch_norm, losses.face_edges, each of the five
+losses and losses.total_mesh_loss) record one entry each through _apply,
+with their own backward rule. reduce_sum is the full sum that turns a
+layer's output into a scalar objective in tests and gradient checks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "absolute",
     "active_tape",
     "add",
     "backward",
@@ -45,12 +46,9 @@ __all__ = [
     "gradient_check",
     "matmul",
     "mul",
-    "norm_last",
-    "normalize_last",
     "reduce_sum",
     "relu",
     "reshape",
-    "scalar_mul",
     "sub",
     "transpose",
 ]
@@ -234,27 +232,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("mul", (a, b), ad * bd, bw)
 
 
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    _check_tensor("scalar_mul", a)
-    c = float(c)
-
-    def bw(g, needs):
-        return (g * c if needs[0] else None,)
-
-    return _apply("scalar_mul", (a,), a.data * c, bw)
-
-
-def absolute(a: Tensor) -> Tensor:
-    _check_tensor("absolute", a)
-    ad = a.data
-
-    def bw(g, needs):
-        # subgradient at 0 is 0 (np.sign(0) == 0)
-        return (g * np.sign(ad) if needs[0] else None,)
-
-    return _apply("absolute", (a,), np.abs(ad), bw)
-
-
 def relu(a: Tensor) -> Tensor:
     _check_tensor("relu", a)
     out = np.maximum(a.data, 0)
@@ -344,60 +321,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _apply("concat", ts, np.concatenate([t.data for t in ts], axis=axis), bw)
 
 
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     _check_tensor("reduce_sum", a)
     shape = a.shape
-    if axis is not None:
-        axis = int(axis) % a.ndim
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g, needs):
-        if not needs[0]:
-            return (None,)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(g, shape) if needs[0] else None,)
 
-    return _apply("reduce_sum", (a,), out, bw)
-
-
-def norm_last(a: Tensor) -> Tensor:
-    """Euclidean norm along the last axis (the axis is dropped)."""
-    _check_tensor("norm_last", a)
-    ad = a.data
-    r = np.sqrt(np.sum(ad * ad, axis=-1))
-
-    def bw(g, needs):
-        if not needs[0]:
-            return (None,)
-        denom = r[..., None]
-        d = np.zeros_like(ad)
-        np.divide(ad, denom, out=d, where=denom > 0)  # subgradient 0 at 0
-        return (g[..., None] * d,)
-
-    return _apply("norm_last", (a,), r, bw)
-
-
-def normalize_last(a: Tensor, eps: float = 1e-8) -> Tensor:
-    """Unit-normalize along the last axis; rows with norm < eps map to 0.
-
-    The guard also zeroes the gradient of those rows, so degenerate rows
-    contribute nothing to any downstream loss.
-    """
-    _check_tensor("normalize_last", a)
-    ad = a.data
-    r = np.sqrt(np.sum(ad * ad, axis=-1, keepdims=True))
-    ok = r >= eps
-    safe = np.where(ok, r, 1.0)
-    out = np.where(ok, ad / safe, 0.0).astype(ad.dtype)
-
-    def bw(g, needs):
-        if not needs[0]:
-            return (None,)
-        gy = np.sum(g * out, axis=-1, keepdims=True)
-        return (np.where(ok, (g - gy * out) / safe, 0.0).astype(out.dtype),)
-
-    return _apply("normalize_last", (a,), out, bw)
+    return _apply("reduce_sum", (a,), a.data.sum(), bw)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

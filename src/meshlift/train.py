@@ -419,7 +419,7 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                     parts = compute_mesh_losses(
                         pred, gt_mesh, gt3d, template.faces,
                         template.joint_regressor,
-                        edge_on=epoch >= weights.edge_start_epoch)
+                        edge_on=weights.edge_on(epoch))
                     if tc.include_pose_loss_stage2:
                         parts["pose"] = pose_loss(lifted, gt3d)
                     total = total_mesh_loss(parts, weights, epoch)

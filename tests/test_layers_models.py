@@ -13,6 +13,7 @@ from meshlift import tensor as T
 from meshlift.coarsen import graclus_coarsen, upsample_features
 from meshlift.config import resolve_config
 from meshlift.graphs import ScaledLaplacian, build_mesh_graph, build_pose_graph
+from meshlift.losses import pose_loss, vertex_loss
 from meshlift.models import MeshRegressor, PoseLifter, fit_widths
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tape, Tensor
@@ -430,8 +431,8 @@ class TestPoseLifter:
         assert len(names) == len(set(names))
         x = Tensor(np.random.default_rng(3).standard_normal((4, 24)).astype(np.float32))
         with Tape():
-            loss = T.reduce_sum(T.absolute(net.forward(x, training=True,
-                                                       rng=np.random.default_rng(0))))
+            out = net.forward(x, training=True, rng=np.random.default_rng(0))
+            loss = pose_loss(out, np.zeros(out.shape))
         T.backward(loss)
         for name, p in net.named_parameters():
             assert p.grad is not None, name
@@ -442,8 +443,7 @@ class TestPoseLifter:
         x0 = np.random.default_rng(4).standard_normal((2, 10))
         target = np.random.default_rng(5).standard_normal((2, 5, 3)).transpose(1, 0, 2)
         rep = T.gradient_check(
-            lambda x: T.reduce_sum(T.absolute(
-                T.sub(net.forward(x), Tensor(target, dtype=np.float64)))),
+            lambda x: pose_loss(net.forward(x), target),
             Tensor(x0, dtype=np.float64))
         # whole-model bar; ReLU kinks make central differences locally rough
         assert rep.max_rel_err < 1e-4
@@ -494,7 +494,8 @@ class TestMeshRegressor:
         assert len(names) == len(set(names))
         p2d, p3d = self.inputs(2)
         with Tape():
-            loss = T.reduce_sum(T.absolute(net.forward(p2d, p3d, training=True)))
+            out = net.forward(p2d, p3d, training=True)
+            loss = vertex_loss(out, np.zeros(out.shape))
         T.backward(loss)
         missing = [n for n, p in net.named_parameters() if p.grad is None]
         assert not missing, missing
@@ -568,7 +569,7 @@ class TestMeshRegressor:
 
         def f(p3d):
             out = net.forward(Tensor(p2d, dtype=np.float64), p3d, training=False)
-            return T.reduce_sum(T.absolute(T.sub(out, Tensor(target, dtype=np.float64))))
+            return vertex_loss(out, target)
 
         rep = T.gradient_check(f, Tensor(p3d0, dtype=np.float64))
         assert rep.max_rel_err < 1e-4

@@ -146,10 +146,10 @@ def per_edge_set_losses(pred, gt, faces):
     return normal / b, edge / b, d_normal / b, d_edge / b
 
 
-def noisy_desk_batch():
-    """The desk body's generated meshes of 4 samples, (V, 4, 3), and a
+def noisy_desk_batch(b=4):
+    """The desk body's generated meshes of b samples, (V, b, 3), and a
     prediction 5 mm of noise away."""
-    template, samples = generate_synthetic_dataset(TubeBodySpec(), 4, seed=2)
+    template, samples = generate_synthetic_dataset(TubeBodySpec(), b, seed=2)
     gt = np.stack([s.mesh for s in samples], axis=1)
     pred = gt + np.random.default_rng(3).normal(
         0.0, 5.0, (gt.shape[1], gt.shape[0], 3)).transpose(1, 0, 2)
@@ -176,14 +176,13 @@ class TestOneEdgePass:
         """Both surface terms weighted: their gradients add up at the one
         face_edges output, and one segment sum carries them to the mesh."""
         template, gt, pred = noisy_desk_batch()
-        w = LossWeights()
+        w = LossWeights(vertex=0.0, joint=0.0, edge_start_epoch=1)
         pred_t = Tensor(pred, requires_grad=True, dtype=np.float64)
         gt_j = np.einsum("jv,vbc->jbc", template.joint_regressor, gt)
         with T.Tape() as tape:
             parts = compute_mesh_losses(pred_t, gt, gt_j, template.faces,
                                         template.joint_regressor)
-            loss = T.add(T.scalar_mul(parts["normal"], w.normal),
-                         T.scalar_mul(parts["edge"], w.edge))
+            loss = total_mesh_loss(parts, w, epoch=1)
         assert [e[0] for e in tape.entries].count("face_edges") == 1
         T.backward(loss)
         *_, d_normal, d_edge = per_edge_set_losses(pred, gt, template.faces)
@@ -202,7 +201,7 @@ class TestOneEdgePass:
 
     def test_gated_off_edge_term_stays_off_the_tape(self):
         """edge_on=False computes the edge loss from the same edges without
-        recording its 5 entries, and gives the taped value bit for bit; the
+        recording its entry, and gives the taped value bit for bit; the
         total rejects that part once the edge term is on, since it would
         add no gradient."""
         template, gt, pred = noisy_desk_batch()
@@ -215,8 +214,8 @@ class TestOneEdgePass:
                                                 template.joint_regressor,
                                                 edge_on=on)
             names[on] = [e[0] for e in tape.entries]
-        assert "norm_last" in names[True] and "norm_last" not in names[False]
-        assert len(names[True]) - len(names[False]) == 5
+        assert "edge_loss" in names[True] and "edge_loss" not in names[False]
+        assert len(names[True]) - len(names[False]) == 1
         assert not parts[False]["edge"].requires_grad
         for name, value in parts[True].items():
             assert np.array_equal(value.data, parts[False][name].data), name
@@ -224,6 +223,196 @@ class TestOneEdgePass:
         total_mesh_loss(parts[False], w, epoch=1)
         with pytest.raises(ValueError, match="epoch 2: the edge term is on"):
             total_mesh_loss(parts[False], w, epoch=2)
+
+
+# The generic ops each loss and the weighted total were once recorded
+# with, as (value, backward rule) pairs in the arithmetic of their tape
+# rules; chain() runs them forward and composes their rules backward.
+def _sub_const(b):
+    return lambda a: (a - b, lambda g: g)
+
+
+def _mul_const(b):
+    return lambda a: (a * b, lambda g: g * b)
+
+
+def _absolute(a):
+    return np.abs(a), lambda g: g * np.sign(a)
+
+
+def _reduce_sum(axis=None):
+    def op(a):
+        def rule(g):
+            return np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                   a.shape)
+        return a.sum(axis=axis), rule
+    return op
+
+
+def _scalar_mul(c):
+    c = float(c)
+    return lambda a: (a * c, lambda g: g * c)
+
+
+def _norm_last(a):
+    r = np.sqrt(np.sum(a * a, axis=-1))
+
+    def rule(g):
+        denom = r[..., None]
+        d = np.zeros_like(a)
+        np.divide(a, denom, out=d, where=denom > 0)
+        return g[..., None] * d
+    return r, rule
+
+
+def _normalize_last(a, eps=1e-8):
+    r = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    ok = r >= eps
+    safe = np.where(ok, r, 1.0)
+    out = np.where(ok, a / safe, 0.0).astype(a.dtype)
+
+    def rule(g):
+        gy = np.sum(g * out, axis=-1, keepdims=True)
+        return np.where(ok, (g - gy * out) / safe, 0.0).astype(out.dtype)
+    return out, rule
+
+
+def chain(x, *ops):
+    """x through ops: (value, backward from the value's gradient)."""
+    rules = []
+    for op in ops:
+        x, rule = op(x)
+        rules.append(rule)
+
+    def backward(g):
+        for rule in reversed(rules):
+            g = rule(g)
+        return g
+    return x, backward
+
+
+def chain_l1(pred, gt, batch):
+    """sub -> absolute -> reduce_sum -> scalar_mul(1 / B)."""
+    gt = np.ascontiguousarray(gt, dtype=pred.dtype)
+    return chain(pred, _sub_const(gt), _absolute, _reduce_sum(),
+                 _scalar_mul(1.0 / batch))
+
+
+def chain_normal(edges, gt_edges):
+    """normalize_last -> mul -> reduce_sum(axis 2) -> absolute ->
+    reduce_sum -> scalar_mul(1 / B)."""
+    ab, _, ca = np.split(gt_edges, 3)
+    n = np.cross(ab, -ca)
+    mag = np.linalg.norm(n, axis=2, keepdims=True)
+    n = np.divide(n, mag, out=np.zeros_like(n), where=mag >= 1e-12)
+    n = np.tile(n, (3, 1, 1)).astype(edges.dtype)
+    return chain(edges, _normalize_last, _mul_const(n), _reduce_sum(2), _absolute,
+                 _reduce_sum(), _scalar_mul(1.0 / edges.shape[1]))
+
+
+def chain_edge(edges, gt_edges):
+    """norm_last -> sub -> absolute -> reduce_sum -> scalar_mul(1 / B)."""
+    gt_len = np.linalg.norm(gt_edges, axis=2).astype(edges.dtype)
+    return chain(edges, _norm_last, _sub_const(gt_len), _absolute, _reduce_sum(),
+                 _scalar_mul(1.0 / edges.shape[1]))
+
+
+def chain_total(values, weights):
+    """scalar_mul per part, added in order; each part's gradient."""
+    total = values[0] * float(weights[0])
+    for v, w in zip(values[1:], weights[1:]):
+        total = total + v * float(w)
+    g = np.ones_like(total)
+    return total, [g * float(w) for w in weights]
+
+
+class TestFusedEntriesEqualTheOpChains:
+    """Each loss and the weighted total are one tape entry whose forward
+    and backward do the arithmetic of the op chain they replace, so value
+    and gradient are equal bit for bit, in float32, on a desk batch with
+    an exactly-zero vertex residual, a zero-length predicted edge and a
+    degenerate ground-truth face."""
+
+    def batch(self):
+        """A desk batch of 32; the targets are (B, ..., 3) arrays viewed
+        batch-second, as train_full passes them."""
+        template, gt, pred = noisy_desk_batch(32)
+        f = template.faces
+        pred = pred.astype(np.float32)
+        pred[0] = gt[0]                       # zero L1 residual at vertex 0
+        pred[f[0, 1], 0] = pred[f[0, 0], 0]   # face 0's first edge, sample 0
+        gt = gt.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        gt[f[1, 2], 1] = gt[f[1, 0], 1]       # face 1 degenerate in sample 1
+        gt_j = np.einsum("jv,vbc->bjc", template.joint_regressor, gt)
+        gt_j = gt_j.transpose(1, 0, 2)
+        edges, gt_edges = surface_edges(Tensor(pred), gt, f)
+        return template, gt, pred, gt_j, edges.data, gt_edges
+
+    @pytest.mark.parametrize("edge_term_on", [True, False])
+    def test_values_and_gradients_equal_the_chains(self, edge_term_on):
+        template, gt, pred, gt_j, edges, gt_edges = self.batch()
+        reg = template.joint_regressor
+        b = pred.shape[1]
+        v, j = pred.shape[0], gt_j.shape[0]
+        pose = pred[:j] + np.float32(1.0)
+        pose[0] = gt_j[0]                      # a zero residual in the pose term
+        w = LossWeights(edge_start_epoch=3)
+        epoch = 3 if edge_term_on else 2
+
+        joints = reg.astype(np.float32) @ pred.reshape(v, b * 3)
+        want = {"vertex": chain_l1(pred, gt, b), "pose": chain_l1(pose, gt_j, b),
+                "joint": chain_l1(joints, gt_j.reshape(j, b * 3), b),
+                "normal": chain_normal(edges, gt_edges),
+                "edge": chain_edge(edges, gt_edges)}
+        names = ["vertex", "joint", "normal"] + ["edge"] * edge_term_on + ["pose"]
+        want_total, g = chain_total([want[k][0] for k in names],
+                                    [getattr(w, k) for k in names])
+        want_grad = {k: want[k][1](gk) for k, gk in zip(names, g)}
+        want_grad["joint"] = (reg.astype(np.float32).T
+                              @ want_grad["joint"]).reshape(v, b, 3)
+
+        leaves = {k: Tensor(x, requires_grad=True) for k, x in (
+            ("vertex", pred), ("joint", pred), ("normal", edges),
+            ("edge", edges), ("pose", pose))}
+        with T.Tape() as tape:
+            parts = {"vertex": vertex_loss(leaves["vertex"], gt),
+                     "joint": joint_loss(leaves["joint"], reg, gt_j),
+                     "normal": normal_loss(leaves["normal"], gt_edges),
+                     "edge": edge_loss(leaves["edge"], gt_edges),
+                     "pose": pose_loss(leaves["pose"], gt_j)}
+            total = total_mesh_loss(parts, w, epoch)
+        assert [e[0] for e in tape.entries] == [
+            "vertex_loss", "reshape", "matmul", "joint_loss", "normal_loss",
+            "edge_loss", "pose_loss", "total_mesh_loss"]
+        T.backward(total)
+
+        assert total.dtype == np.float32
+        assert np.array_equal(total.data, want_total)
+        for k in want:
+            assert np.array_equal(parts[k].data, want[k][0]), k
+        for k in names:
+            assert leaves[k].grad.dtype == np.float32, k
+            assert np.array_equal(leaves[k].grad, want_grad[k]), k
+        if not edge_term_on:
+            assert leaves["edge"].grad is None
+        # the planted cases get zero gradients: the zero residuals, the
+        # zero-length edge 0 of sample 0, and the three edges of the
+        # degenerate face 1 of sample 1
+        nf = len(template.faces)
+        assert np.all(leaves["vertex"].grad[0] == 0)
+        assert np.all(leaves["pose"].grad[0] == 0)
+        assert np.all(leaves["normal"].grad[0, 0] == 0)
+        assert np.all(leaves["normal"].grad[[1, nf + 1, 2 * nf + 1], 1] == 0)
+        if edge_term_on:
+            assert np.all(leaves["edge"].grad[0, 0] == 0)
+
+    def test_l1_subgradient_is_zero_at_zero(self):
+        pred = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True,
+                      dtype=np.float64)
+        with T.Tape():
+            loss = pose_loss(pred, np.zeros((3, 1)))
+        T.backward(loss)
+        np.testing.assert_array_equal(pred.grad, [[-1.0], [0.0], [1.0]])
 
 
 class TestFaceEdges:
@@ -298,9 +487,17 @@ class TestTotal:
         assert total_mesh_loss(parts, LossWeights(), epoch=7).item() == \
             pytest.approx(23.1)
 
+    def test_edge_gate(self):
+        w = LossWeights(edge_start_epoch=4)
+        assert [w.edge_on(e) for e in (1, 3, 4, 5)] == [False, False, True, True]
+
     def test_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
             LossWeights(edge=-1.0)
+        for name, bad in (("normal", float("nan")), ("edge", float("inf")),
+                          ("pose", float("-inf"))):
+            with pytest.raises(ValueError, match=f"loss weight {name} must be finite"):
+                LossWeights(**{name: bad})
         with pytest.raises(ValueError,
                            match=r"loss_weights: unknown keys \['vortex'\]"):
             from_dict(LossWeights, {"vortex": 1.0}, "loss_weights")

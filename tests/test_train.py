@@ -19,7 +19,7 @@ from meshlift.evaluate import predict
 from meshlift.io import load_checkpoint, save_checkpoint
 from meshlift.layers import BN_EPS, BatchNorm1d
 from meshlift.losses import compute_mesh_losses, pose_loss, total_mesh_loss
-from meshlift.tensor import Tape, Tensor, backward, reduce_sum
+from meshlift.tensor import Tape, Tensor, backward
 from meshlift.train import (RMSprop, build_models, load_models, save_models,
                             train_full, train_posenet)
 
@@ -102,11 +102,10 @@ class TestRmsprop:
                    dtype=np.float64)
         target = x.data @ np.array([[2.0], [-1.0]])
         opt = RMSprop([("w", w)], lr=1e-2)
-        from meshlift.tensor import absolute, matmul, sub
         for _ in range(3000):
             with Tape():
-                loss = reduce_sum(absolute(sub(matmul(x, w),
-                                               Tensor(target, dtype=np.float64))))
+                # an L1 fit: (3, 1) rows, so the one-column "batch" divides by 1
+                loss = pose_loss(T.matmul(x, w), target)
             backward(loss)
             opt.step()
         np.testing.assert_allclose(w.data, [[2.0], [-1.0]], atol=0.05)
@@ -205,6 +204,39 @@ class TestStage2:
             if row["epoch"] >= 3:   # edge_start_epoch pinned to 3 here
                 parts += 20.0 * row["L_edge"]
             assert row["L_total"] == pytest.approx(parts, rel=1e-5)
+
+    def test_trainer_gate_agrees_with_total_around_edge_start(self, tmp_path,
+                                                              monkeypatch):
+        """At edge_start_epoch - 1 train_full computes the edge part off the
+        tape and the total leaves it out; at edge_start_epoch the part is
+        taped and is an input of the total's entry."""
+        cfg = tiny_cfg()
+        weights = cfg.train.loss_weights
+        _, samples = tiny_data()
+        s1 = train_posenet(cfg, samples, out_dir=tmp_path)
+        gates, seen = {}, {}
+        real_parts, real_total = train.compute_mesh_losses, train.total_mesh_loss
+
+        def parts_spy(*args, edge_on):
+            parts = real_parts(*args, edge_on=edge_on)
+            gates[id(parts)] = edge_on
+            return parts
+
+        def total_spy(parts, weights, epoch):
+            total = real_total(parts, weights, epoch)
+            refs = total.tape.entries[total.index][1]
+            seen.setdefault(epoch, set()).add(
+                (gates[id(parts)], parts["edge"].tape is not None,
+                 parts["edge"].index in refs))
+            return total
+
+        monkeypatch.setattr(train, "compute_mesh_losses", parts_spy)
+        monkeypatch.setattr(train, "total_mesh_loss", total_spy)
+        train_full(cfg, samples, s1.checkpoint_path)
+        start = weights.edge_start_epoch
+        assert not weights.edge_on(start - 1) and weights.edge_on(start)
+        assert seen[start - 1] == {(False, False, False)}
+        assert seen[start] == {(True, True, True)}
 
     def test_determinism_bit_exact(self, tmp_path):
         cfg = tiny_cfg()
@@ -479,7 +511,7 @@ def stage2_step(cfg):
                                    training=True)
             parts = compute_mesh_losses(pred, mesh, gt3d, template.faces,
                                         template.joint_regressor,
-                                        edge_on=epoch >= weights.edge_start_epoch)
+                                        edge_on=weights.edge_on(epoch))
             parts["pose"] = pose_loss(lifted, gt3d)
             total = total_mesh_loss(parts, weights, epoch)
         return tape, total
@@ -526,7 +558,11 @@ def test_desk_stage2_tape_budget():
     Each batch norm carries its ReLU, so no relu entry is left (78 - 10 =
     68), and the desk profile gates the edge term off on every step, so
     its 5 entries (norm_last, sub, absolute, reduce_sum, scalar_mul) are
-    computed off the tape (68 - 5 = 63)."""
+    computed off the tape (68 - 5 = 63). Each loss is one entry (the
+    vertex loss's 4 and the normal loss's 6 before, and 4 of the joint
+    loss's 6), and so is the weighted total (6: the 3 weights' scalar_mul
+    and 3 add, one of them adding the untaped pose part): 63 - 3 - 5 - 3
+    - 5 = 47."""
     cfg = resolve_config("desk")
     assert cfg.train.freeze_posenet and cfg.train.batch_size == 32
     assert cfg.train.loss_weights.edge_start_epoch > cfg.train.stage2_epochs
@@ -536,13 +572,16 @@ def test_desk_stage2_tape_budget():
     assert names.count("chebyshev_conv") == 11
     assert names.count("batch_norm") == 10
     assert names.count("relu") == 0
-    assert names.count("norm_last") == 0
+    assert names.count("edge_loss") == 0
+    assert names.count("pose_loss") == 0
+    for name in ("vertex_loss", "joint_loss", "normal_loss", "total_mesh_loss"):
+        assert names.count(name) == 1, name
     assert names.count("gather_rows") == 1
     assert names.count("face_edges") == 1
     assert names.count("reshape") == 3
     assert names.count("transpose") == 2
     assert names.count("matmul") == 3
-    assert len(names) == 63
+    assert len(names) == 47
 
 
 def test_desk_stage2_forward_memory_bound():
@@ -561,18 +600,19 @@ def test_desk_stage2_forward_memory_bound():
     assert held <= 24 * 2 ** 20, f"held {held / 2 ** 20:.1f} MiB"
 
 
-@pytest.mark.parametrize("stage, entries", [(1, 26), (2, 91)])
+@pytest.mark.parametrize("stage, entries", [(1, 23), (2, 71)])
 def test_desk_training_step_tape_budgets(tmp_path, monkeypatch, stage, entries):
     """The tape of the first step of a desk training stage (batch 32),
     with the lifter training. Stage 1 holds the lifter's 22 entries and
-    the pose loss's 4: 22 + 4 = 26 (30 when each of the lifter's 4 batch
-    norms had its own relu entry, 32 when the lifter returned a
-    batch-first pose). Stage 2 holds the 63 of
+    the pose loss's 1: 22 + 1 = 23 (26 when the pose loss was 4 entries,
+    30 when each of the lifter's 4 batch norms had its own relu entry, 32
+    when the lifter returned a batch-first pose). Stage 2 holds the 47 of
     test_desk_stage2_tape_budget's frozen-lifter step, the lifter's 22,
-    the pose loss's 4 and its weight, and the input concat: 63 + 22 + 4 +
-    1 + 1 = 91 (110 with a relu entry after each of the 14 batch norms
-    and the gated-off edge term on the tape, 121 when the lifter returned
-    a batch-first pose, 111 when each surface loss had its own face_edges
+    the pose loss's 1 and the input concat: 47 + 22 + 1 + 1 = 71 (91 when
+    each loss was a chain of generic ops and the pose weight its own
+    entry, 110 with a relu entry after each of the 14 batch norms and the
+    gated-off edge term on the tape, 121 when the lifter returned a
+    batch-first pose, 111 when each surface loss had its own face_edges
     entry)."""
     cfg = resolve_config("desk", overrides={"train": {
         "stage1_epochs": 2, "stage1_decay_epoch": 1, "freeze_posenet": False}})
