@@ -60,6 +60,36 @@ class TestHandValues:
         got = edge_loss(*surface_edges(pred, gt, TETRA_FACES)).item()
         assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_edge_loss_is_the_length_difference(self):
+        edges = Tensor(np.array([[[3.0, 4.0, 0.0]], [[0.0, 0.0, 0.0]],
+                                 [[0.0, 2.0, 0.0]]]), requires_grad=True,
+                       dtype=np.float64)
+        gt_edges = np.array([[[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
+                             [[0.0, 0.0, 3.0]]])
+        with T.Tape():
+            loss = edge_loss(edges, gt_edges)
+        assert loss.item() == pytest.approx(5.0 + 0.0 + 1.0, abs=1e-12)
+        T.backward(loss)
+        # sign(||e|| - ||e*||) e / ||e||; a zero-length edge gets 0
+        np.testing.assert_allclose(edges.grad[:, 0],
+                                   [[0.6, 0.8, 0.0], [0.0, 0.0, 0.0],
+                                    [0.0, -1.0, 0.0]], atol=1e-12)
+
+    def test_normal_loss_short_edge_guard(self):
+        # one gt face in the xy plane: unit normal (0, 0, 1)
+        gt_edges = np.array([[[1.0, 0, 0]], [[-1.0, 1, 0]], [[0.0, -1, 0]]])
+        edges = Tensor(np.array([[[3.0, 0, 4]], [[1e-12, 0, 0]], [[0.0, 0, -2]]]),
+                       requires_grad=True, dtype=np.float64)
+        with T.Tape():
+            loss = normal_loss(edges, gt_edges)
+        # |0.8| + 0 (shorter than DEGENERATE_EDGE_EPS) + |-1|
+        assert loss.item() == pytest.approx(1.8, abs=1e-12)
+        T.backward(loss)
+        # sign(dot) (n - unit dot) / ||e||
+        np.testing.assert_allclose(edges.grad[:, 0],
+                                   [[-0.096, 0.0, 0.072], [0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0]], atol=1e-12)
+
     def test_batch_sum_divided_by_batch(self):
         rng = np.random.default_rng(0)
         pred1 = rng.standard_normal((1, 4, 3)).transpose(1, 0, 2)
@@ -487,6 +517,25 @@ class TestTotal:
         assert total_mesh_loss(parts, LossWeights(), epoch=7).item() == \
             pytest.approx(23.1)
 
+    @pytest.mark.parametrize("epoch", [3, 4])
+    def test_each_part_gets_its_weight_times_the_total_gradient(self, epoch):
+        w = LossWeights(vertex=1.5, joint=0.5, normal=0.1, edge=20.0, pose=2.0,
+                        edge_start_epoch=4)
+        parts = {k: Tensor(np.array(v), requires_grad=True, dtype=np.float64)
+                 for k, v in (("vertex", 1.0), ("joint", 2.0), ("normal", 3.0),
+                              ("edge", 4.0), ("pose", 5.0))}
+        with T.Tape():
+            total = total_mesh_loss(parts, w, epoch)
+        assert total.item() == pytest.approx(
+            1.5 + 1.0 + 0.3 + 10.0 + 80.0 * (epoch >= 4))
+        T.backward(total)
+        for k in ("vertex", "joint", "normal", "pose"):
+            assert parts[k].grad == pytest.approx(getattr(w, k)), k
+        if epoch >= 4:
+            assert parts["edge"].grad == pytest.approx(20.0)
+        else:
+            assert parts["edge"].grad is None
+
     def test_edge_gate(self):
         w = LossWeights(edge_start_epoch=4)
         assert [w.edge_on(e) for e in (1, 3, 4, 5)] == [False, False, True, True]
@@ -528,6 +577,9 @@ class TestGradients:
     def test_vertex_grad(self):
         self.check(lambda p: vertex_loss(p, self.gt))
 
+    def test_pose_grad(self):
+        self.check(lambda p: pose_loss(p, self.gt))
+
     def test_joint_grad(self):
         self.check(lambda p: joint_loss(p, self.reg, self.gt_j))
 
@@ -536,6 +588,15 @@ class TestGradients:
 
     def test_edge_grad(self):
         self.check(lambda p: edge_loss(*surface_edges(p, self.gt, TETRA_FACES)))
+
+    @pytest.mark.parametrize("loss", [normal_loss, edge_loss])
+    def test_surface_loss_grad_on_the_edges(self, loss):
+        """The loss's own backward, without face_edges' scatter."""
+        edges, gt_edges = surface_edges(Tensor(self.pred0, dtype=np.float64),
+                                        self.gt, TETRA_FACES)
+        rep = T.gradient_check(lambda e: loss(e, gt_edges),
+                               Tensor(edges.data, dtype=np.float64))
+        assert rep.max_rel_err < 1e-5, rep
 
     def test_total_grad(self):
         def f(p):
