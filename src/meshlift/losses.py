@@ -153,9 +153,11 @@ def normal_loss(edges: Tensor, gt_edges: np.ndarray) -> Tensor:
     unit = np.where(ok, e / safe, 0.0).astype(e.dtype)
 
     def vjp(g_dot):  # through the dot product, then the unit vector
+        # a short edge needs no guard here: its zero unit vector makes its
+        # dot product 0, and sign(0) has already zeroed its g_dot
         g_unit = np.broadcast_to(np.expand_dims(g_dot, 2), unit.shape) * n
         g_radial = np.sum(g_unit * unit, axis=-1, keepdims=True)
-        return np.where(ok, (g_unit - g_radial * unit) / safe, 0.0).astype(unit.dtype)
+        return (g_unit - g_radial * unit) / safe
 
     return _l1_entry("normal_loss", edges, (unit * n).sum(axis=2),
                      edges.shape[1], vjp)

@@ -5,11 +5,21 @@ regressor end to end on the weighted mesh losses (edge term gated in
 after its start epoch, pose term included by default). Each epoch draws
 its shuffle, error synthesis, and dropout masks from one seeded stream,
 so identical (config, seed, dataset) runs are bit-identical.
+
+Training keeps freed heap memory for the life of its process: both
+stages first set glibc's mmap and trim thresholds to 1 GiB (mallopt,
+through ctypes). Every step allocates arrays of the same shapes, so the
+next step reuses the pages the last one freed instead of unmapping them
+and faulting them in again, zero-filled (on the dense body, about 16,000
+minor page faults per step). The settings act only on the calling
+process and change no value. This works on glibc only; where libc.so.6
+or its mallopt cannot be found, nothing is set.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +39,10 @@ from .tensor import Tape, Tensor
 RMSPROP_ALPHA = 0.99
 RMSPROP_EPS = 1e-8
 RMSPROP_BLOCK = 1 << 16
+
+M_TRIM_THRESHOLD = -1  # glibc's mallopt parameters
+M_MMAP_THRESHOLD = -3
+KEPT_HEAP_BYTES = 1 << 30
 
 TRACE_COLUMNS = ["epoch", "iter", "lr", "L_pose", "L_vertex", "L_joint",
                  "L_normal", "L_edge", "L_total"]
@@ -298,7 +312,7 @@ class _GradTracker:
             if not np.isfinite(p.grad).all():
                 raise ValueError(f"non-finite gradient of {n!r} at epoch {epoch}, "
                                  f"iteration {it}")
-            if not self.seen[n] and np.any(p.grad != 0):
+            if not self.seen[n] and p.grad.any():
                 self.seen[n] = True
 
     def dead(self):
@@ -313,10 +327,25 @@ def _check_finite(parts: dict, epoch: int, it: int) -> None:
                              f"iteration {it}")
 
 
+def _keep_freed_heap() -> bool:
+    """Serve allocations below 1 GiB from glibc's heap, and trim the heap
+    only past 1 GiB of free top, in this process; returns whether both
+    settings were applied."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(M_MMAP_THRESHOLD, KEPT_HEAP_BYTES) == 1,
+                mallopt(M_TRIM_THRESHOLD, KEPT_HEAP_BYTES) == 1])
+
+
 # ------------------------------------------------------------------- stage 1
 
 def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     """Pre-train the 2D->3D lifter; emits a per-epoch mean loss trace."""
+    _keep_freed_heap()
     template = build_tube_body(cfg.template)
     check_sample_shapes(samples, template, min_samples=2)
     posenet = _build_posenet(cfg, template)
@@ -368,6 +397,7 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
 def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                max_iterations: int | None = None) -> TrainResult:
     """End-to-end training of lifter + mesh regressor from a stage-1 start."""
+    _keep_freed_heap()
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")
     template = build_tube_body(cfg.template)
