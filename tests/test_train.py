@@ -521,16 +521,17 @@ def stage2_step(cfg):
     return step
 
 
+DENSE = {"seed": 7, "template": {"verts_per_ring": 12, "rings_per_bone": 12},
+         "train": {"batch_size": 8}}
+
+
 def test_dense_stage2_step_memory_bound():
     """A tape holds only the arrays that backward rules read, and the sweep
     frees each entry and gradient as it goes, so one dense-body stage-2
     step (V = 1,584 in 1,944 slots, batch 8) peaks at about 67 MiB of new
     allocations. A tape that held every taped tensor until backward
     returned peaked at about 173 MiB."""
-    cfg = resolve_config("desk", overrides={
-        "seed": 7, "template": {"verts_per_ring": 12, "rings_per_bone": 12},
-        "train": {"batch_size": 8}})
-    step = stage2_step(cfg)
+    step = stage2_step(resolve_config("desk", overrides=DENSE))
     tracemalloc.start()
     try:
         _, total = step()
@@ -633,9 +634,6 @@ def test_desk_training_step_tape_budgets(tmp_path, monkeypatch, stage, entries):
         train_full(cfg, samples, s1.checkpoint_path, max_iterations=1)
     assert len(tapes[0]) == entries
 
-
-DENSE = {"seed": 7, "template": {"verts_per_ring": 12, "rings_per_bone": 12},
-         "train": {"batch_size": 8}}
 
 # train_full in a fresh process: prints whether train_full's own call of
 # _keep_freed_heap applied the settings, and the process's minor faults
