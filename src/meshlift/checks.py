@@ -142,7 +142,7 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
     hierarchy = graclus_coarsen(build_mesh_graph(template), 2, seed=cfg.seed)
     graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                              template.symmetry_pairs)
-    meshnet = MeshRegressor(hierarchy, graph,
+    meshnet = MeshRegressor(hierarchy, scaled_laplacian(graph, seed=cfg.seed),
                             level_widths=(8, 8, 4), pose_width=4,
                             order=cfg.model.order, seed=12, dtype=np.float64)
     p2d = Tensor(rng.standard_normal((2, template.num_joints, 2)).transpose(1, 0, 2),

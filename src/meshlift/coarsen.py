@@ -14,17 +14,20 @@ the deterministic step from the matching (raw_parents) to the padded
 levels, Laplacians, perm and tree_ids. A checkpoint stores the matching
 and every lambda_max (hierarchy_record), so loading runs only the
 assembly (hierarchy_from_record): no matching and no power iteration.
+Each stored converged flag is derived from its value on write and only
+type-checked on read. The pose graph's operator, which MeshRegressor
+takes built, comes from train.build_models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from meshlift import tensor as T
-from meshlift.graphs import (LAMBDA_MAX_MIN, Graph, LambdaMaxEstimate, ScaledLaplacian,
-                             row_table, scaled_laplacian)
+from meshlift.graphs import (LAMBDA_MAX_MIN, Graph, ScaledLaplacian, row_table,
+                             scaled_laplacian)
 from meshlift.tensor import ShapeError, Tensor
 
 
@@ -44,9 +47,6 @@ class CoarseningHierarchy:
     perm: np.ndarray
     tree_ids: list[np.ndarray]
     raw_parents: list[np.ndarray]
-    num_real: list[int]
-    num_fake: list[int]
-    seed: int
 
     @property
     def num_levels(self) -> int:
@@ -158,7 +158,7 @@ def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy
 
 
 def assemble_hierarchy(g: Graph, raw_parents: list[np.ndarray], seed: int = 0,
-                       lambda_max: list[LambdaMaxEstimate] | None = None
+                       lambda_max: list[float] | None = None
                        ) -> CoarseningHierarchy:
     """The padded, tree-ordered hierarchy that a matching gives: level
     graphs, scaled Laplacians, perm and tree_ids from g and raw_parents.
@@ -195,16 +195,12 @@ def assemble_hierarchy(g: Graph, raw_parents: list[np.ndarray], seed: int = 0,
         missing = int(np.flatnonzero(perm < 0)[0])
         raise RuntimeError(f"assemble_hierarchy: vertex {missing} lost during reordering")
 
-    num_fake = [ids.size - nr for ids, nr in zip(tree_ids, sizes)]
     return CoarseningHierarchy(
         levels=graphs,
         scaled_laplacians=laplacians,
         perm=perm,
         tree_ids=tree_ids,
         raw_parents=raw_parents,
-        num_real=sizes,
-        num_fake=num_fake,
-        seed=seed,
     )
 
 
@@ -222,11 +218,12 @@ def hierarchy_record(h: CoarseningHierarchy, pose_lap: ScaledLaplacian) -> dict:
             "pose_lambda_max": estimate(pose_lap)}
 
 
-def hierarchy_from_record(g: Graph, record, levels: int, seed: int = 0):
-    """(hierarchy, pose graph LambdaMaxEstimate) from a hierarchy_record,
-    with no matching and no power iteration; g is the mesh graph that was
+def hierarchy_from_record(g: Graph, record, levels: int):
+    """(hierarchy, pose graph lambda_max) from a hierarchy_record, with
+    no matching and no power iteration; g is the mesh graph that was
     coarsened. Every malformed or mismatched record raises a ValueError
-    naming the field, before anything is built."""
+    naming the field, before anything is built. A converged flag is only
+    type-checked: the operator derives it from lambda_max."""
     keys = {"raw_parents", "lambda_max", "pose_lambda_max"}
     if not (isinstance(record, dict) and set(record) == keys):
         raise ValueError(f"hierarchy must be an object with keys {sorted(keys)}")
@@ -255,10 +252,10 @@ def hierarchy_from_record(g: Graph, record, levels: int, seed: int = 0):
         n = counts.size
     estimates = [_estimate(e, f"hierarchy lambda_max[{c}]") for c, e in enumerate(lams)]
     pose = _estimate(record["pose_lambda_max"], "hierarchy pose_lambda_max")
-    return assemble_hierarchy(g, raw_parents, seed, estimates), pose
+    return assemble_hierarchy(g, raw_parents, lambda_max=estimates), pose
 
 
-def _estimate(entry, where: str) -> LambdaMaxEstimate:
+def _estimate(entry, where: str) -> float:
     if not (isinstance(entry, dict) and set(entry) == {"value", "converged"}):
         raise ValueError(f"{where}: expected an object with keys converged and value")
     value, converged = entry["value"], entry["converged"]
@@ -267,7 +264,7 @@ def _estimate(entry, where: str) -> LambdaMaxEstimate:
                          f"({LAMBDA_MAX_MIN:g}, 2], got {value!r}")
     if type(converged) is not bool:
         raise ValueError(f"{where}: converged must be true or false, got {converged!r}")
-    return LambdaMaxEstimate(float(value), converged)
+    return float(value)
 
 
 def upsample_features(f_coarse: Tensor, hierarchy: CoarseningHierarchy,

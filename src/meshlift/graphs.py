@@ -225,19 +225,14 @@ def normalized_laplacian(g: Graph) -> RowTable:
     return RowTable(cols, values)
 
 
-class LambdaMaxEstimate(NamedTuple):
-    value: float
-    converged: bool
-
-
-def estimate_lambda_max(lap: RowTable, seed: int = 0) -> LambdaMaxEstimate:
+def estimate_lambda_max(lap: RowTable, seed: int = 0) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     Seeded start vector, Rayleigh-quotient convergence below 1e-9, at most
     200 iterations, one sparse matvec each: the product that gives the
-    Rayleigh quotient is the next iteration's. On non-convergence returns
-    the safe upper bound 2.0 (valid for normalized Laplacians) with
-    converged=False.
+    Rayleigh quotient is the next iteration's. Returns the safe upper
+    bound 2.0 (valid for normalized Laplacians) on non-convergence, and
+    for an estimate at or below LAMBDA_MAX_MIN (a zero Laplacian).
     """
     n = lap.num_rows
     rng = np.random.default_rng(seed)
@@ -248,14 +243,14 @@ def estimate_lambda_max(lap: RowTable, seed: int = 0) -> LambdaMaxEstimate:
     for _ in range(POWER_ITER_MAX):
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return LambdaMaxEstimate(0.0, True)  # lap annihilates v: lambda_max 0
+            break  # lap annihilates v: lambda_max 0
         v = w / nw
         w = lap.matvec(v)
         rayleigh = float(v @ w)
         if abs(rayleigh - prev) < POWER_ITER_TOL:
-            return LambdaMaxEstimate(rayleigh, True)
+            return rayleigh if rayleigh > LAMBDA_MAX_MIN else LAMBDA_MAX_FALLBACK
         prev = rayleigh
-    return LambdaMaxEstimate(LAMBDA_MAX_FALLBACK, False)
+    return LAMBDA_MAX_FALLBACK
 
 
 class ScaledLaplacian:
@@ -263,25 +258,29 @@ class ScaledLaplacian:
 
     Stored as a RowTable. product() hides how it multiplies: levels below
     SPARSE_MAX_DENSITY gather neighbour rows (`gathered` is True), the
-    others multiply by the dense operand that as_tensor builds once per
-    dtype. L_tilde is symmetric, so the same product is its own adjoint.
+    others by the dense operand that dense_operand builds once per dtype.
+    L_tilde is symmetric, so the same product is its own adjoint.
     """
 
-    def __init__(self, table: RowTable, lambda_max: float, converged: bool = True):
+    def __init__(self, table: RowTable, lambda_max: float):
         self.table = table
         self.lambda_max = float(lambda_max)
-        self.converged = bool(converged)
         self.gathered = table.nnz < SPARSE_MAX_DENSITY * table.num_rows ** 2
         self._cache: dict = {}
+
+    @property
+    def converged(self) -> bool:
+        """Not the fallback: with self-loops, every eigenvalue of L is < 2."""
+        return self.lambda_max < LAMBDA_MAX_FALLBACK
 
     @property
     def num_vertices(self) -> int:
         return self.table.num_rows
 
-    def as_tensor(self, dtype) -> Tensor:
+    def dense_operand(self, dtype) -> np.ndarray:
         key = np.dtype(dtype)
         if key not in self._cache:
-            self._cache[key] = Tensor(self.table.to_dense(key), dtype=key)
+            self._cache[key] = self.table.to_dense(key)
         return self._cache[key]
 
     def _gather_table(self, dtype):
@@ -297,7 +296,7 @@ class ScaledLaplacian:
     def product(self, a: np.ndarray) -> np.ndarray:
         """L_tilde @ a for a finite (V, C) array, in a's dtype."""
         if not self.gathered:
-            return self.as_tensor(a.dtype).data @ a
+            return self.dense_operand(a.dtype) @ a
         cols, values = self._gather_table(a.dtype)
         n, width = cols.shape
         out = np.empty_like(a)
@@ -309,20 +308,14 @@ class ScaledLaplacian:
 
 
 def scaled_laplacian(g: Graph, seed: int = 0,
-                     lambda_max: LambdaMaxEstimate | None = None) -> ScaledLaplacian:
+                     lambda_max: float | None = None) -> ScaledLaplacian:
     """The graph's L_tilde, with lambda_max estimated by power iteration
-    from ``seed``, or taken as given (a checkpoint's stored estimate).
-
-    An estimate at or below LAMBDA_MAX_MIN (a Laplacian that is 0, as on
-    one vertex) is replaced by LAMBDA_MAX_FALLBACK, marked not converged.
-    """
+    from ``seed``, or taken as given (a checkpoint's stored value)."""
     lap = normalized_laplacian(g)
     if lambda_max is None:
         lambda_max = estimate_lambda_max(lap, seed=seed)
-        if lambda_max.value <= LAMBDA_MAX_MIN:
-            lambda_max = LambdaMaxEstimate(LAMBDA_MAX_FALLBACK, False)
-    values = (2.0 / lambda_max.value) * lap.values - _diagonal(lap.cols)
-    return ScaledLaplacian(RowTable(lap.cols, values), *lambda_max)
+    values = (2.0 / lambda_max) * lap.values - _diagonal(lap.cols)
+    return ScaledLaplacian(RowTable(lap.cols, values), lambda_max)
 
 
 class ChebFilter:

@@ -13,7 +13,10 @@ regressor was trained on instead of coarsening again: ``raw_parents``
 (per level, every vertex's coarse cluster id, as JSON integers),
 ``lambda_max`` (per level, finest first, the float64 ``value`` and the
 ``converged`` flag) and ``pose_lambda_max`` (the same for the pose
-graph); see coarsen.hierarchy_record. Format 1 files still load.
+graph, whose operator train.build_models builds and MeshRegressor
+takes built); see coarsen.hierarchy_record. The flag is derived from
+the value on write (``value < 2``) and only type-checked on read.
+Format 1 files still load.
 """
 
 from __future__ import annotations

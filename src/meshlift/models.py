@@ -5,7 +5,9 @@ normalized 2D keypoints. The mesh regressor runs graph convolutions on the
 joint graph, lifts the joint features to the coarsest mesh level with one
 dense layer, then alternates per-level graph-conv blocks and
 nearest-neighbor upsampling down the hierarchy to the full-resolution
-vertex set.
+vertex set. It takes its operators built: the hierarchy's, and the joint
+graph's from train.build_models (a checkpoint's converged flags are
+derived from lambda_max on write and only type-checked on read).
 
 The batch stays on axis 1 from the lifter's (J, B, 3) pose to the
 regressor's (V, B, 3) mesh, and graph features are (V, B, f): vertices on
@@ -19,7 +21,7 @@ import numpy as np
 
 from meshlift import tensor as T
 from meshlift.coarsen import CoarseningHierarchy, apply_perm, upsample_features
-from meshlift.graphs import Graph, LambdaMaxEstimate, chebyshev_conv, scaled_laplacian
+from meshlift.graphs import ScaledLaplacian, chebyshev_conv
 from meshlift.layers import (BatchNorm1d, GraphConvBlock, Linear, Module, dropout,
                              make_cheb_filter, uniform_weight)
 from meshlift.tensor import Tensor
@@ -114,22 +116,19 @@ class MeshRegressor(Module):
     """Regress root-relative mesh vertices from 2D keypoints plus a 3D pose.
 
     Weights are drawn from the stream [seed, 202]; with draw=False nothing
-    is drawn, and every weight is a placeholder for restore_state. The
-    pose graph's lambda_max is estimated from the hierarchy's seed, or
-    taken from ``pose_lambda_max`` (a checkpoint's stored estimate).
+    is drawn, and every weight is a placeholder for restore_state.
+    ``pose_lap`` is the pose graph's built operator.
     """
 
-    def __init__(self, hierarchy: CoarseningHierarchy, pose_graph: Graph,
+    def __init__(self, hierarchy: CoarseningHierarchy, pose_lap: ScaledLaplacian,
                  level_widths=(64, 64, 32, 32), pose_width: int = 64,
                  order: int = 3, across_level_residual: bool = False,
-                 seed: int = 0, dtype=np.float32, draw: bool = True,
-                 pose_lambda_max: LambdaMaxEstimate | None = None):
+                 seed: int = 0, dtype=np.float32, draw: bool = True):
         rng = np.random.default_rng([seed, 202]) if draw else None
         c = hierarchy.num_levels
         self.hierarchy = hierarchy
-        self.pose_lap = scaled_laplacian(pose_graph, seed=hierarchy.seed,
-                                         lambda_max=pose_lambda_max)
-        self.num_joints = pose_graph.num_vertices
+        self.pose_lap = pose_lap
+        self.num_joints = pose_lap.num_vertices
         self.widths = fit_widths(level_widths, c + 1)
         self.pose_width = pose_width
         self.across_level_residual = across_level_residual

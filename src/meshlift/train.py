@@ -29,7 +29,7 @@ from . import tensor as T
 from .config import RunConfig, check_checkpoint_config, checkpoint_config
 from .coarsen import graclus_coarsen, hierarchy_from_record, hierarchy_record
 from .data import check_sample_shapes, normalize_2d_pose, synthesize_pose_errors
-from .graphs import build_mesh_graph, build_pose_graph
+from .graphs import build_mesh_graph, build_pose_graph, scaled_laplacian
 from .io import load_checkpoint, save_checkpoint
 from .losses import compute_mesh_losses, pose_loss, total_mesh_loss
 from .models import MeshRegressor, PoseLifter
@@ -107,11 +107,12 @@ def build_models(cfg: RunConfig, dtype=np.float32, template=None, structure=None
     """Template, graph hierarchy, pose graph and networks; pass ``template``
     when cfg's tube body is already built.
 
-    The hierarchy is coarsened from cfg.seed, unless ``structure`` gives
-    it as a (hierarchy, pose graph LambdaMaxEstimate) pair, as
-    hierarchy_from_record returns. A network named in ``restored``
-    ("posenet", "meshnet") is built without drawing, for restore_state;
-    the others are drawn from their own streams.
+    The hierarchy is coarsened, and the pose graph's lambda_max
+    estimated, from cfg.seed, unless ``structure`` gives both as a
+    (hierarchy, pose lambda_max) pair, as hierarchy_from_record returns.
+    A network named in ``restored`` ("posenet", "meshnet") is built
+    without drawing, for restore_state; the others are drawn from their
+    own streams.
     """
     if template is None:
         template = build_tube_body(cfg.template)
@@ -121,14 +122,14 @@ def build_models(cfg: RunConfig, dtype=np.float32, template=None, structure=None
     hierarchy, pose_lambda_max = structure
     pose_graph = build_pose_graph(template.num_joints, template.skeleton_edges,
                                   template.symmetry_pairs)
+    pose_lap = scaled_laplacian(pose_graph, seed=cfg.seed, lambda_max=pose_lambda_max)
     posenet = _build_posenet(cfg, template, dtype, draw="posenet" not in restored)
-    meshnet = MeshRegressor(hierarchy, pose_graph,
+    meshnet = MeshRegressor(hierarchy, pose_lap,
                             level_widths=cfg.model.level_widths,
                             pose_width=cfg.model.pose_width,
                             order=cfg.model.order, seed=cfg.seed, dtype=dtype,
                             across_level_residual=cfg.model.across_level_residual,
-                            draw="meshnet" not in restored,
-                            pose_lambda_max=pose_lambda_max)
+                            draw="meshnet" not in restored)
     return template, hierarchy, pose_graph, posenet, meshnet
 
 
@@ -194,7 +195,7 @@ def _restore_models(path, cfg: RunConfig, dtype=np.float32, template=None):
     if record is not None:
         try:
             structure = hierarchy_from_record(build_mesh_graph(template), record,
-                                              cfg.model.levels, seed=cfg.seed)
+                                              cfg.model.levels)
         except ValueError as e:
             raise ValueError(f"checkpoint {path}: {e}") from None
     restored = {prefix for prefix in ("posenet", "meshnet")

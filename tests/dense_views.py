@@ -62,7 +62,6 @@ def assert_same_hierarchy(a, b) -> None:
             np.testing.assert_array_equal(x, y)
     assert [edge_list(g).tolist() for g in a.levels] == \
         [edge_list(g).tolist() for g in b.levels]
-    assert (a.num_real, a.num_fake, a.seed) == (b.num_real, b.num_fake, b.seed)
 
 
 def dense_spectral_oracle(x: np.ndarray, lap: G.ScaledLaplacian,

@@ -125,7 +125,9 @@ class TestCoarsen:
             lap = h.scaled_laplacians[c]
             adjacency = dense(h.levels[c])
             assert int(row["vertices"]) == h.level_size(c)
-            assert (int(row["real"]), int(row["fake"])) == (h.num_real[c], h.num_fake[c])
+            ids = h.tree_ids[c]
+            assert (int(row["real"]), int(row["fake"])) == (np.sum(ids >= 0),
+                                                            np.sum(ids < 0))
             assert int(row["lap_nnz"]) == np.count_nonzero(dense(lap))
             assert int(row["d_max"]) == np.count_nonzero(adjacency, axis=1).max()
             assert float(row["lambda_max"]) == pytest.approx(lap.lambda_max, abs=1e-6)

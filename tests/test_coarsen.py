@@ -13,6 +13,7 @@ from meshlift import coarsen as C
 from meshlift import graphs as G
 from meshlift import tensor as T
 from meshlift.graphs import build_mesh_graph, build_pose_graph, scaled_laplacian
+from meshlift.io import load_checkpoint
 from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tensor
 
@@ -20,6 +21,7 @@ from dense_views import (assert_same_hierarchy, assert_same_operators, dense,
                          edge_list, graph_from_dense)
 
 GOLDEN = Path(__file__).parent / "data" / "hierarchy_golden.json"
+V2_CHECKPOINT = GOLDEN.with_name("checkpoint_v2_tiny.ckpt")
 
 
 def path_graph(n):
@@ -49,6 +51,11 @@ def random_mesh_like_graph(n, seed, extra=2.0):
     return graph_from_dense(a)
 
 
+def fake_counts(h):
+    """Fake slots per level, finest first, from tree_ids."""
+    return [int(np.sum(ids < 0)) for ids in h.tree_ids]
+
+
 def check_invariants(g, h):
     """The full structural contract of a hierarchy over graph g."""
     c_levels = h.num_levels
@@ -57,9 +64,13 @@ def check_invariants(g, h):
     for c in range(c_levels):
         assert h.level_size(c) == 2 * h.level_size(c + 1), c
     # coarsest level is all real
-    assert h.num_fake[-1] == 0
+    assert fake_counts(h)[-1] == 0
+    # each level's real slots hold its pre-padding vertices, one each
+    sizes = [g.num_vertices] + [int(p.max()) + 1 for p in h.raw_parents]
     for c, lvl in enumerate(h.levels):
-        assert h.num_real[c] + h.num_fake[c] == lvl.num_vertices
+        ids = h.tree_ids[c]
+        assert ids.size == lvl.num_vertices
+        np.testing.assert_array_equal(np.sort(ids[ids >= 0]), np.arange(sizes[c]))
         # fake slots are exactly the degree-0 rows
         fake_slots = h.tree_ids[c] < 0
         np.testing.assert_array_equal(lvl.is_fake(), fake_slots)
@@ -103,21 +114,21 @@ class TestHandExamples:
     def test_path_two_vertices_one_level(self):
         h = C.graclus_coarsen(path_graph(2), levels=1, seed=0)
         assert h.level_size(1) == 1 and h.level_size(0) == 2
-        assert h.num_fake == [0, 0]  # the pair matches; no padding needed
+        assert fake_counts(h) == [0, 0]  # the pair matches; no padding needed
 
     def test_triangle_one_level(self):
         h = C.graclus_coarsen(triangle_graph(), levels=1, seed=0)
         # one matched pair plus one singleton -> 2 coarse, 4 fine slots, 1 fake
         assert h.level_size(1) == 2
         assert h.level_size(0) == 4
-        assert h.num_fake[0] == 1 and h.num_fake[1] == 0
+        assert fake_counts(h) == [1, 0]
         check_invariants(triangle_graph(), h)
 
     def test_single_vertex(self):
         g = graph_from_dense(np.array([[1.0]]))
         h = C.graclus_coarsen(g, levels=1, seed=0)
         assert h.level_size(1) == 1 and h.level_size(0) == 2
-        assert h.num_fake[0] == 1
+        assert fake_counts(h)[0] == 1
 
     def test_levels_cap_error(self):
         with pytest.raises(ValueError, match="levels"):
@@ -248,14 +259,29 @@ class TestRecordedHierarchy:
         assert [sl.converged for sl in laps] == case["converged"]
         np.testing.assert_allclose([sl.lambda_max for sl in laps],
                                    case["lambda_max"], rtol=1e-12, atol=0)
-        assert ([digest(sl.as_tensor(np.float32).data) for sl in laps]
+        assert ([digest(sl.dense_operand(np.float32)) for sl in laps]
                 == case["operand_f32"])
+
+
+def test_recorded_flags_are_the_derived_ones():
+    """Every converged flag written so far, in GOLDEN and in the v2
+    checkpoint fixture, equals value < 2: the flag that a ScaledLaplacian
+    derives, and that hierarchy_record now writes."""
+    entries = [(value, flag) for case in json.loads(GOLDEN.read_text())["cases"]
+               for value, flag in zip(case["lambda_max"], case["converged"],
+                                      strict=True)]
+    record = load_checkpoint(V2_CHECKPOINT)[2]
+    entries += [(e["value"], e["converged"])
+                for e in record["lambda_max"] + [record["pose_lambda_max"]]]
+    assert {flag for _, flag in entries} == {True, False}
+    for value, flag in entries:
+        assert flag == (value < 2), (value, flag)
 
 
 def record_round_trip(g, h, pose_lap, levels):
     """Rebuild h and the pose operator from their JSON checkpoint record."""
     record = json.loads(json.dumps(C.hierarchy_record(h, pose_lap)))
-    return C.hierarchy_from_record(g, record, levels, seed=h.seed)
+    return C.hierarchy_from_record(g, record, levels)
 
 
 class TestCheckpointRecord:

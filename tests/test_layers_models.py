@@ -12,7 +12,8 @@ from meshlift import models
 from meshlift import tensor as T
 from meshlift.coarsen import graclus_coarsen, upsample_features
 from meshlift.config import resolve_config
-from meshlift.graphs import ScaledLaplacian, build_mesh_graph, build_pose_graph
+from meshlift.graphs import (ScaledLaplacian, build_mesh_graph, build_pose_graph,
+                             scaled_laplacian)
 from meshlift.losses import pose_loss, vertex_loss
 from meshlift.models import MeshRegressor, PoseLifter, fit_widths
 from meshlift.template import TubeBodySpec, build_tube_body
@@ -452,7 +453,7 @@ class TestPoseLifter:
 class TestMeshRegressor:
     def make(self, levels=2, dtype=np.float32, **kw):
         template, hierarchy, pose_graph = tiny_setup(levels=levels)
-        net = MeshRegressor(hierarchy, pose_graph,
+        net = MeshRegressor(hierarchy, scaled_laplacian(pose_graph),
                             level_widths=(16, 16, 8, 8), pose_width=8,
                             order=3, seed=3, dtype=dtype, **kw)
         return template, hierarchy, net
@@ -559,7 +560,7 @@ class TestMeshRegressor:
 
     def test_gradcheck_through_mesh_net(self):
         template, hierarchy, pose_graph = tiny_setup(levels=2)
-        net = MeshRegressor(hierarchy, pose_graph,
+        net = MeshRegressor(hierarchy, scaled_laplacian(pose_graph),
                             level_widths=(8, 8, 4), pose_width=4, order=3,
                             seed=11, dtype=np.float64)
         rng = np.random.default_rng(12)

@@ -891,15 +891,23 @@ class TestCheckpointV2:
             load_models(p, self.CFG)
 
     def test_valid_edits_load(self, tmp_path):
-        """The bounds are inclusive at 2, and a converged flag may differ
-        from the one the estimate had."""
+        """The bounds are inclusive at 2, and a converged flag that
+        contradicts its value still loads: the flag is only type-checked,
+        the operator derives its own from lambda_max, and a resave writes
+        the derived one."""
         def edit(record):
             record["lambda_max"][0] = {"value": 2, "converged": True}
-            record["pose_lambda_max"]["converged"] = False
-        _, hierarchy, _, _, meshnet = load_models(self.edit_hierarchy(tmp_path, edit),
-                                                  self.CFG)
-        assert hierarchy.scaled_laplacians[0].lambda_max == 2.0
-        assert not meshnet.pose_lap.converged
+            record["pose_lambda_max"] = {"value": 1.5, "converged": False}
+        _, hierarchy, _, posenet, meshnet = load_models(
+            self.edit_hierarchy(tmp_path, edit), self.CFG)
+        fine = hierarchy.scaled_laplacians[0]
+        assert (fine.lambda_max, fine.converged) == (2.0, False)
+        assert (meshnet.pose_lap.lambda_max, meshnet.pose_lap.converged) == (1.5, True)
+        out = tmp_path / "resaved.ckpt"
+        save_models(out, self.CFG, posenet=posenet, meshnet=meshnet)
+        record = load_checkpoint(out)[2]
+        assert record["lambda_max"][0] == {"value": 2.0, "converged": False}
+        assert record["pose_lambda_max"] == {"value": 1.5, "converged": True}
 
     @pytest.fixture(scope="class")
     def hierarchy_span(self):
