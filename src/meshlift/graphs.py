@@ -3,13 +3,11 @@
 Graphs and Laplacians are stored as padded row tables (RowTable): no row
 of a mesh Laplacian has more than a dozen non-zeros, so building,
 coarsening and the lambda_max power iteration cost O(V * d_max), not
-O(V^2). Table values are float64, the single source of truth; the
-convolution casts them to the feature dtype on first use (cached), so
-float32 training and float64 oracle runs share one graph object.
-
-A scaled Laplacian multiplies either as a dense V x V matrix or by
-gathering each row's neighbours from its table, chosen by its density:
-the table only wins once a row's dozen non-zeros are a small share of V.
+O(V^2), and so does the Laplacian product, which multiplies each block of
+PRODUCT_BLOCK_ROWS rows by only the columns its entries touch. Table values
+are float64, the single source of truth; the product casts them to the
+feature dtype on first use (cached), so float32 training and float64
+oracle runs share one graph object.
 """
 
 from __future__ import annotations
@@ -28,17 +26,11 @@ LAMBDA_MAX_FALLBACK = 2.0
 # zero Laplacian estimates 0), so such an estimate gets the fallback and
 # such a stored value is rejected.
 LAMBDA_MAX_MIN = 1e-9
-# Below this share of non-zeros (nnz / V^2) a scaled Laplacian multiplies
-# by row gathers, at or above it as a dense matrix. One float32 product on
-# 1 BLAS thread, dense vs gathered: 1,944 slots at 0.29% 16.4 vs 1.8 ms,
-# 486 slots at 1.3% 1.15 vs 0.43 ms, 243 slots at 2.9% 0.30 vs 0.28 ms,
-# 208 slots at 2.8% (1,024 columns) 0.70 vs 0.58 ms, 104 slots at 5.9%
-# 0.22 vs 0.29 ms. Near 3% the paths are within 20% of each other; 2%
-# keeps every desk-body level and the pose graph on the dense path.
-SPARSE_MAX_DENSITY = 0.02
-# Gathered values per block of rows: keeps the gather temporary near 1 MB,
-# which stays in cache instead of faulting in fresh pages every product.
-GATHER_BLOCK = 1 << 18
+# Rows per block of the Laplacian product. One float32 product on 1 BLAS
+# thread: desk level 0 (208 slots, 1,024 columns) 0.64 ms as a dense V x V
+# matmul, 0.20 ms in blocks; dense-body level 0 (1,944 slots, 256 columns)
+# 1.39 ms by per-row gathers, 0.98 ms in blocks.
+PRODUCT_BLOCK_ROWS = 8
 
 
 class RowTable(NamedTuple):
@@ -256,17 +248,21 @@ def estimate_lambda_max(lap: RowTable, seed: int = 0) -> float:
 class ScaledLaplacian:
     """L_tilde = 2 L / lambda_max - I, spectrum mapped into [-1, 1].
 
-    Stored as a RowTable. product() hides how it multiplies: levels below
-    SPARSE_MAX_DENSITY gather neighbour rows (`gathered` is True), the
-    others by the dense operand that dense_operand builds once per dtype.
-    L_tilde is symmetric, so the same product is its own adjoint.
+    Stored as a RowTable. product() multiplies block by block: each
+    PRODUCT_BLOCK_ROWS rows hold, per dtype and built on first use, the
+    dense (rows x touched columns) sub-matrix of their table entries and
+    those columns' indices. Each output is then one sum over its block's
+    touched columns in ascending order: the dense product's sum without
+    most of its zero terms, which on OpenBLAS leaves its bits unchanged
+    (at the training column counts, multiples of 16; see test_graphs).
+    L_tilde is symmetric, so the same product is its own adjoint. Hashed
+    by identity.
     """
 
     def __init__(self, table: RowTable, lambda_max: float):
         self.table = table
         self.lambda_max = float(lambda_max)
-        self.gathered = table.nnz < SPARSE_MAX_DENSITY * table.num_rows ** 2
-        self._cache: dict = {}
+        self._blocks: dict = {}
 
     @property
     def converged(self) -> bool:
@@ -277,33 +273,34 @@ class ScaledLaplacian:
     def num_vertices(self) -> int:
         return self.table.num_rows
 
-    def dense_operand(self, dtype) -> np.ndarray:
+    def _block_operands(self, dtype) -> list:
+        """(first row, end row, touched columns, (rows, touched) sub-matrix)
+        per block, in dtype: views into one buffer that one scatter fills."""
         key = np.dtype(dtype)
-        if key not in self._cache:
-            self._cache[key] = self.table.to_dense(key)
-        return self._cache[key]
-
-    def _gather_table(self, dtype):
-        """(columns with padding clipped to 0, (V, 1, d_max) values) in dtype;
-        a padding entry reads row 0 and multiplies it by 0."""
-        key = ("gather", np.dtype(dtype))
-        if key not in self._cache:
-            cols, values = self.table
-            self._cache[key] = (np.maximum(cols, 0),
-                                values.astype(dtype)[:, None, :])
-        return self._cache[key]
+        if key not in self._blocks:
+            n, size = self.num_vertices, PRODUCT_BLOCK_ROWS
+            rows, k = np.nonzero(self.table.cols >= 0)
+            block = rows // size
+            # one sort over (block, column) keys: each block's columns, ascending
+            keys, at = np.unique(block * n + self.table.cols[rows, k], return_inverse=True)
+            starts = np.arange(0, n, size)
+            heights = np.minimum(n - starts, size)
+            widths = np.bincount(keys // n, minlength=starts.size)
+            firsts, offsets = (np.cumsum(c) - c for c in (widths, heights * widths))
+            flat = np.zeros(int(heights @ widths), dtype=key)
+            flat[offsets[block] + (rows - starts[block]) * widths[block]
+                 + at - firsts[block]] = self.table.values[rows, k]
+            self._blocks[key] = [
+                (s, s + h, keys[f:f + w] % n, flat[o:o + h * w].reshape(h, w))
+                for s, h, w, f, o in zip(*(x.tolist() for x in (
+                    starts, heights, widths, firsts, offsets)))]
+        return self._blocks[key]
 
     def product(self, a: np.ndarray) -> np.ndarray:
         """L_tilde @ a for a finite (V, C) array, in a's dtype."""
-        if not self.gathered:
-            return self.dense_operand(a.dtype) @ a
-        cols, values = self._gather_table(a.dtype)
-        n, width = cols.shape
-        out = np.empty_like(a)
-        step = max(1, GATHER_BLOCK // (width * max(1, a.shape[1])))
-        for i in range(0, n, step):
-            np.matmul(values[i:i + step], a[cols[i:i + step]],
-                      out=out[i:i + step, None, :])
+        out = np.empty(a.shape, a.dtype)
+        for s, e, used, sub in self._block_operands(a.dtype):
+            np.matmul(sub, a.take(used, axis=0), out=out[s:e])
         return out
 
 

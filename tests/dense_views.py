@@ -1,8 +1,9 @@
 """Dense views of the sparse graph types, and the dense spectral oracle.
 
-The library keeps graphs and Laplacians as padded row tables and builds a
-dense matrix only as the convolution operand. Tests read and write small
-graphs as dense matrices through these helpers. assert_same_operators
+The library keeps graphs and Laplacians as padded row tables and never
+builds a dense matrix. Tests read and write small graphs as dense matrices
+through these helpers. gathered_product is the row-gather Laplacian
+product that the block product replaced, kept as a bit-level reference. assert_same_operators
 and assert_same_hierarchy compare rebuilt structures field by field.
 """
 
@@ -32,6 +33,23 @@ def dense(x) -> np.ndarray:
     if isinstance(x, (G.Graph, G.ScaledLaplacian)):
         x = x.table
     return x.to_dense(np.float64)
+
+
+def gathered_product(lap: G.ScaledLaplacian, a: np.ndarray,
+                     block: int = 1 << 18) -> np.ndarray:
+    """L_tilde @ a by row gathers, in a's dtype: each row's table values
+    times the rows of a its columns name, a padding entry reading row 0
+    and multiplying it by 0, in blocks of about ``block`` gathered values."""
+    cols, values = lap.table
+    cols = np.maximum(cols, 0)
+    values = values.astype(a.dtype)[:, None, :]
+    n, width = cols.shape
+    out = np.empty_like(a)
+    step = max(1, block // (width * max(1, a.shape[1])))
+    for i in range(0, n, step):
+        np.matmul(values[i:i + step], a[cols[i:i + step]],
+                  out=out[i:i + step, None, :])
+    return out
 
 
 def edge_list(g: G.Graph) -> np.ndarray:

@@ -259,7 +259,7 @@ class TestRecordedHierarchy:
         assert [sl.converged for sl in laps] == case["converged"]
         np.testing.assert_allclose([sl.lambda_max for sl in laps],
                                    case["lambda_max"], rtol=1e-12, atol=0)
-        assert ([digest(sl.dense_operand(np.float32)) for sl in laps]
+        assert ([digest(sl.table.to_dense(np.float32)) for sl in laps]
                 == case["operand_f32"])
 
 

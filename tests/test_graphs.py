@@ -14,8 +14,8 @@ from meshlift.config import resolve_config
 from meshlift.template import build_tube_body
 from meshlift.tensor import Tape, Tensor
 
-from dense_views import (dense, dense_spectral_oracle, graph_from_dense,
-                         table_from_dense)
+from dense_views import (dense, dense_spectral_oracle, gathered_product,
+                         graph_from_dense, table_from_dense)
 
 
 def random_graph(n, seed, p=0.4, fakes=0):
@@ -153,7 +153,7 @@ class TestNeighbourTable:
         sl = G.scaled_laplacian(g)
         scaled = (2.0 / sl.lambda_max) * lap - np.eye(11)
         np.testing.assert_array_equal(dense(sl), scaled)
-        np.testing.assert_array_equal(sl.dense_operand(np.float32),
+        np.testing.assert_array_equal(sl.table.to_dense(np.float32),
                                       scaled.astype(np.float32))
         x = np.random.default_rng(seed).standard_normal(11)
         np.testing.assert_allclose(G.normalized_laplacian(g).matvec(x), lap @ x,
@@ -246,13 +246,6 @@ class TestLambdaMax:
             assert lam.min() > -1 - 1e-9 and lam.max() < 1 + 1e-6
 
 
-def with_path(sl, gathered):
-    """A copy of a scaled Laplacian that multiplies by the given path."""
-    out = G.ScaledLaplacian(sl.table, sl.lambda_max)
-    out.gathered = gathered
-    return out
-
-
 def make_filter(f_in, f_out, order, seed, dtype=np.float64, requires_grad=False):
     rng = np.random.default_rng(seed)
     return G.ChebFilter([
@@ -290,10 +283,8 @@ class TestChebyshevConv:
         x = rng.standard_normal(n)
         filt = G.ChebFilter([Tensor(np.full((1, 1), t), dtype=np.float64) for t in theta])
         ref = dense_spectral_oracle(x, sl, theta)
-        for gathered in (False, True):
-            ours = G.chebyshev_conv(Tensor(x[:, None, None]), with_path(sl, gathered),
-                                    filt).data[:, 0, 0]
-            assert np.max(np.abs(ours - ref)) < 1e-10, gathered
+        ours = G.chebyshev_conv(Tensor(x[:, None, None]), sl, filt).data[:, 0, 0]
+        assert np.max(np.abs(ours - ref)) < 1e-10
 
     def test_locality_k3_is_two_hops(self):
         g = random_graph(12, seed=5, p=0.25)
@@ -347,22 +338,21 @@ class TestChebyshevConv:
             # batch 2, unequal output weights: no gradient is a plain sum
             return T.reduce_sum(T.mul(G.chebyshev_conv(x, sl, filt, batch=2), w))
 
-        for gathered in (False, True):
-            sl = with_path(G.scaled_laplacian(g), gathered)
-            for order in (1, 2, 3, 4):
-                filt = make_filter(3, 2, order, seed=12)
-                rep = T.gradient_check(lambda x: loss(x, sl, filt),
-                                       Tensor(x0, dtype=np.float64))
-                assert rep.max_rel_err < 1e-7, (gathered, order)
+        sl = G.scaled_laplacian(g)
+        for order in (1, 2, 3, 4):
+            filt = make_filter(3, 2, order, seed=12)
+            rep = T.gradient_check(lambda x: loss(x, sl, filt),
+                                   Tensor(x0, dtype=np.float64))
+            assert rep.max_rel_err < 1e-7, order
 
-                for k in range(order):
-                    def f_theta(th, k=k):
-                        coeffs = list(filt.coefficients)
-                        coeffs[k] = th
-                        return loss(Tensor(x0, dtype=np.float64), sl,
-                                    G.ChebFilter(coeffs))
-                    rep = T.gradient_check(f_theta, filt.coefficients[k])
-                    assert rep.max_rel_err < 1e-7, (gathered, order, k)
+            for k in range(order):
+                def f_theta(th, k=k):
+                    coeffs = list(filt.coefficients)
+                    coeffs[k] = th
+                    return loss(Tensor(x0, dtype=np.float64), sl,
+                                G.ChebFilter(coeffs))
+                rep = T.gradient_check(f_theta, filt.coefficients[k])
+                assert rep.max_rel_err < 1e-7, (order, k)
 
     def test_grads_flow_in_training_dtype(self):
         g = random_graph(6, seed=14)
@@ -392,15 +382,31 @@ def body_laplacians():
 
 
 class TestLaplacianProduct:
-    def test_level_choice(self, body_laplacians):
-        # desk level 0 is 2.8% dense, dense-body levels 0-2 are 0.29%, 0.62%
-        # and 1.3%, dense-body level 3 2.9%, the pose graph 29%
-        assert [sl.gathered for sl in body_laplacians["desk"]] == [False] * 5
-        assert [sl.gathered for sl in body_laplacians["dense"]] == \
-            [True, True, True, False, False]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_replaced_paths(self, body_laplacians, dtype):
+        # The block product keeps the bits of the two products it replaced:
+        # a dense V x V matmul on every desk level, both pose graphs and
+        # dense-body level 3, and row gathers on dense-body levels 0-2
+        # (0.29-1.3% non-zero). Column counts are batch * width multiples
+        # of 16, as in training; at other counts OpenBLAS's edge kernels
+        # sum in another order. On dense-body levels 0-2 only float32 is
+        # pinned: in float64 the gathers sum each row in another order, and
+        # the dense matmul splits its 486-1,944 terms, so the block product
+        # there is held to test_product_equals_dense_view's 1e-12 bound.
+        rng = np.random.default_rng(5)
+        for body, cols in (("desk", 1024), ("dense", 256)):
+            for level, sl in enumerate(body_laplacians[body]):
+                a = rng.standard_normal((sl.num_vertices, cols)).astype(dtype)
+                if body == "dense" and level < 3:
+                    if dtype == np.float32:
+                        np.testing.assert_array_equal(
+                            sl.product(a), gathered_product(sl, a), (body, level))
+                else:
+                    np.testing.assert_array_equal(
+                        sl.product(a), sl.table.to_dense(dtype) @ a, (body, level))
 
     @pytest.mark.parametrize("body", ["desk", "dense"])
-    def test_both_paths_equal_dense_view(self, body_laplacians, body):
+    def test_product_equals_dense_view(self, body_laplacians, body):
         rng = np.random.default_rng(3)
         eps32 = np.finfo(np.float32).eps
         for level, sl in enumerate(body_laplacians[body]):
@@ -409,22 +415,19 @@ class TestLaplacianProduct:
             a32 = a.astype(np.float32)
             ref32 = ref_l @ a32.astype(np.float64)
             bound32 = 16 * eps32 * (np.abs(ref_l) @ np.abs(a32.astype(np.float64)))
-            for gathered in (False, True):
-                forced = with_path(sl, gathered)
-                err = np.max(np.abs(forced.product(a) - ref_l @ a))
-                assert err < 1e-12, (level, gathered, err)
-                p32 = forced.product(a32)
-                assert p32.dtype == np.float32
-                assert np.all(np.abs(p32 - ref32) <= bound32), (level, gathered)
+            err = np.max(np.abs(sl.product(a) - ref_l @ a))
+            assert err < 1e-12, (level, err)
+            p32 = sl.product(a32)
+            assert p32.dtype == np.float32
+            assert np.all(np.abs(p32 - ref32) <= bound32), level
 
-    def test_gathered_conv_stays_below_dense_operand(self):
+    def test_block_conv_stays_below_dense_operand(self):
         cfg = resolve_config("desk", {"template": {"verts_per_ring": 18,
                                                    "rings_per_bone": 18}})
         t = build_tube_body(cfg.template)
         assert t.num_vertices == 3564
         sl = graclus_coarsen(G.build_mesh_graph(t), 3, seed=7).scaled_laplacians[0]
         v = sl.num_vertices
-        assert sl.gathered
         batch, f = 4, 32
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((v, batch, f)), requires_grad=True,
@@ -440,6 +443,13 @@ class TestLaplacianProduct:
             tracemalloc.stop()
         assert x.grad is not None
         assert peak < 4 * v * v, f"peak {peak / 1e6:.1f} MB, V = {v}"
+        # the block operands are built once per dtype: a second product
+        # reuses them
+        built = dict(sl._blocks)
+        assert list(built) == [np.dtype(np.float32)]
+        sl.product(x.data.reshape(v, batch * f))
+        assert list(sl._blocks) == list(built)
+        assert sl._blocks[np.dtype(np.float32)] is built[np.dtype(np.float32)]
 
 
 class TestDenseOracle:
