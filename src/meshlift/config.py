@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .data import ErrorSynthConfig
 from .losses import LossWeights
-from .template import TubeBodySpec
+from .template import JOINT_NAMES, TubeBodySpec
 
 PROFILES = ("desk", "paper")
 INPUT_MODES = ("gt2d", "gt3d", "synth")
@@ -102,8 +102,11 @@ class ModelConfig:
             raise ValueError("model: Chebyshev order must be >= 1")
         if self.levels < 1:
             raise ValueError("model: levels must be >= 1")
-        if not self.level_widths:
-            raise ValueError("model: level_widths must be non-empty")
+        widths = list(self.level_widths)
+        if (not widths or min(widths) < 1
+                or any(a < b for a, b in zip(widths, widths[1:]))):
+            raise ValueError(f"config.model.level_widths: expected a non-empty, "
+                             f"non-increasing list of positives, got {widths}")
 
 
 @dataclass
@@ -148,6 +151,11 @@ class EvalConfig:
                              f"got {self.input!r}")
         if not self.taus or any(t <= 0 for t in self.taus):
             raise ValueError("eval: taus must be a non-empty list of positives")
+        mask = self.joint_mask
+        if mask is not None and (not mask or len(set(mask)) < len(mask)
+                                 or not all(0 <= j < len(JOINT_NAMES) for j in mask)):
+            raise ValueError(f"config.eval.joint_mask: expected distinct joint "
+                             f"indices in 0..{len(JOINT_NAMES) - 1}, got {list(mask)}")
 
 
 @dataclass

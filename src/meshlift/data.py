@@ -16,6 +16,7 @@ import numpy as np
 from meshlift.template import MeshTemplate, TubeBodySpec, build_tube_body, euler_rotation, pose_mesh
 
 BBOX_EXPANSION = 1.2
+MAX_ANGLE_DEG = 45.0  # per-axis joint rotation range of generated poses
 
 
 @dataclass
@@ -121,13 +122,11 @@ def synthesize_pose_errors(pose2d: np.ndarray, cfg: ErrorSynthConfig,
     return out + jitter
 
 
-def generate_synthetic_dataset(spec: TubeBodySpec, n_samples: int,
-                               seed: int = 0,
-                               max_angle_deg: float = 45.0,
+def generate_synthetic_dataset(spec: TubeBodySpec, n_samples: int, seed: int = 0
                                ) -> tuple[MeshTemplate, list[PoseSample]]:
     """Pose the tube body n_samples times and project to 2D.
 
-    Joint rotations are per-axis uniform in +-max_angle_deg. Each sample
+    Joint rotations are per-axis uniform in +-MAX_ANGLE_DEG. Each sample
     uses a seed derived from (seed, index) so regeneration of any subset is
     reproducible. The 3D ground truth is root-relative; pose3d is defined
     as regressor @ mesh, so the two are consistent by construction.
@@ -135,7 +134,7 @@ def generate_synthetic_dataset(spec: TubeBodySpec, n_samples: int,
     if n_samples < 1:
         raise ValueError("generate_synthetic_dataset: n_samples must be >= 1")
     template = build_tube_body(spec)
-    max_angle = np.deg2rad(max_angle_deg)
+    max_angle = np.deg2rad(MAX_ANGLE_DEG)
     root = template.root_index
     samples = []
     for i in range(n_samples):

@@ -1,13 +1,13 @@
 """Vertex graphs, normalized Laplacians, and Chebyshev spectral filtering.
 
-Graphs and Laplacians are stored as padded row tables (RowTable): no row
-of a mesh Laplacian has more than a dozen non-zeros, so building,
-coarsening and the lambda_max power iteration cost O(V * d_max), not
-O(V^2), and so does the Laplacian product, which multiplies each block of
-PRODUCT_BLOCK_ROWS rows by only the columns its entries touch. Table values
-are float64, the single source of truth; the product casts them to the
-feature dtype on first use (cached), so float32 training and float64
-oracle runs share one graph object.
+Graphs are stored as padded neighbour tables, and Laplacians as padded
+row tables (RowTable): no row of a mesh Laplacian has more than a dozen
+non-zeros, so building, coarsening and the lambda_max power iteration
+cost O(V * d_max), not O(V^2), and so does the Laplacian product, which
+multiplies each block of PRODUCT_BLOCK_ROWS rows by only the columns its
+entries touch. Table values are float64, the single source of truth; the
+product casts them to the feature dtype on first use (cached), so float32
+training and float64 oracle runs share one graph object.
 """
 
 from __future__ import annotations
@@ -88,17 +88,18 @@ def row_table(num_rows: int, rows, cols, values) -> RowTable:
 class Graph:
     """Undirected 0/1 vertex graph as a padded neighbour table.
 
-    Row i of the table lists i's neighbours in ascending order, i itself
-    included (self-loop), each with weight 1, padded with -1 up to d_max
-    entries. Fake vertices (padding slots from coarsening) have no
+    Row i of ``neighbors`` lists i's neighbours in ascending order, i
+    itself included (self-loop), padded with -1 up to d_max entries.
+    Every edge has weight 1, so the entry mask ``neighbors >= 0`` is the
+    adjacency. Fake vertices (padding slots from coarsening) have no
     entries. The table must be symmetric.
     """
 
-    def __init__(self, table: RowTable):
-        nbr, w = table
-        if nbr.ndim != 2 or w.shape != nbr.shape:
+    def __init__(self, neighbors: np.ndarray):
+        nbr = neighbors
+        if nbr.ndim != 2:
             raise ValueError(f"Graph: neighbour table must be (V, d_max), got "
-                             f"{nbr.shape} and {w.shape}")
+                             f"{nbr.shape}")
         n = nbr.shape[0]
         entry = nbr >= 0
         if np.any(nbr < -1) or np.any(nbr >= n):
@@ -106,8 +107,6 @@ class Graph:
         if np.any(entry[:, 1:] & ~(entry[:, :-1] & (nbr[:, 1:] > nbr[:, :-1]))):
             raise ValueError("Graph: neighbour rows must be strictly ascending, "
                              "padding last")
-        if np.any(w != entry):
-            raise ValueError("Graph: adjacency entries must be 0 or 1")
         rows, k = np.nonzero(entry)
         cols = nbr[rows, k]
         if not np.array_equal(np.sort(cols * n + rows), rows * n + cols):
@@ -116,15 +115,7 @@ class Graph:
         if np.any(bad):
             v = int(np.flatnonzero(bad)[0])
             raise ValueError(f"Graph: real vertex {v} is missing its self-loop")
-        self.table = table
-
-    @property
-    def neighbors(self) -> np.ndarray:
-        return self.table.cols
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.table.values
+        self.neighbors = nbr
 
     @property
     def num_vertices(self) -> int:
@@ -132,20 +123,15 @@ class Graph:
 
     @property
     def d_max(self) -> int:
-        return int(np.count_nonzero(self.neighbors >= 0, axis=1).max(initial=0))
+        return int(self.degrees.max(initial=0))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        return np.count_nonzero(self.neighbors >= 0, axis=1).astype(np.float64)
 
     def is_fake(self) -> np.ndarray:
         """Boolean mask of degree-0 (padding) vertices."""
         return self.degrees == 0
-
-    def __repr__(self) -> str:
-        entries = int(np.count_nonzero(self.neighbors >= 0))
-        edges = (entries - int(np.count_nonzero(~self.is_fake()))) // 2
-        return f"Graph(num_vertices={self.num_vertices}, edges={edges})"
 
 
 def _undirected_graph(num_vertices: int, i, j) -> Graph:
@@ -156,7 +142,7 @@ def _undirected_graph(num_vertices: int, i, j) -> Graph:
     cols = np.concatenate([np.asarray(j, np.int64), np.asarray(i, np.int64), loops])
     keys = np.unique(rows * num_vertices + cols)
     return Graph(row_table(num_vertices, keys // num_vertices,
-                           keys % num_vertices, np.ones(keys.size)))
+                           keys % num_vertices, np.ones(keys.size)).cols)
 
 
 def build_pose_graph(num_joints: int, skeleton_edges: Sequence[tuple[int, int]],
@@ -205,7 +191,7 @@ def normalized_laplacian(g: Graph) -> RowTable:
     Degree-0 (fake) vertices get the identity row e_i, so they stay inert
     under filtering and the spectrum stays inside [0, 2].
     """
-    nbr, w = g.table
+    nbr = g.neighbors
     d = g.degrees
     inv_sqrt = np.zeros_like(d)
     np.divide(1.0, np.sqrt(d), out=inv_sqrt, where=d > 0)
@@ -213,7 +199,7 @@ def normalized_laplacian(g: Graph) -> RowTable:
     cols = nbr.copy()
     cols[fake, 0] = fake
     # same expression, entry by entry, as the dense eye - (s A) s^T
-    values = _diagonal(cols) - (inv_sqrt[:, None] * w) * inv_sqrt[cols]
+    values = _diagonal(cols) - (inv_sqrt[:, None] * (nbr >= 0)) * inv_sqrt[cols]
     return RowTable(cols, values)
 
 

@@ -141,20 +141,19 @@ def _nearest_distances(a, b):
     return np.sqrt(a_to_b), np.sqrt(b_to_a)
 
 
-def f_scores(pred, gt, taus, align: bool = True) -> list[float]:
+def f_scores(pred, gt, taus) -> list[float]:
     """Surface F-score at each threshold in ``taus`` (mm), mean over samples.
 
     Precision: fraction of predicted points within tau of the target set;
-    recall: the reverse. Similarity-aligns once unless ``align=False``,
-    then thresholds each sample's nearest-neighbour distances at every tau.
+    recall: the reverse. Similarity-aligns once, then thresholds each
+    sample's nearest-neighbour distances at every tau.
     """
     pred, gt = _check_pair(pred, gt)
     if pred.shape[1] == 0:
         raise ValueError("f_score: empty point set")
     if any(tau <= 0 for tau in taus):
         raise ValueError("tau must be positive")
-    if align:
-        pred = align_batch(pred, gt)
+    pred = align_batch(pred, gt)
     scores = [[] for _ in taus]
     for p, g in zip(pred, gt):
         p_to_g, g_to_p = _nearest_distances(p, g)
@@ -166,6 +165,6 @@ def f_scores(pred, gt, taus, align: bool = True) -> list[float]:
     return [float(np.mean(s)) for s in scores]
 
 
-def f_score(pred, gt, tau: float, align: bool = True) -> float:
+def f_score(pred, gt, tau: float) -> float:
     """Surface F-score at one threshold ``tau`` (mm); see ``f_scores``."""
-    return f_scores(pred, gt, [tau], align)[0]
+    return f_scores(pred, gt, [tau])[0]

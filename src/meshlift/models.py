@@ -29,13 +29,9 @@ from meshlift.tensor import Tensor
 
 def fit_widths(widths, n_levels: int) -> list[int]:
     """Pad (repeating the last entry) or truncate to one width per level;
-    the list is in processing order, coarsest level first, and must be
-    monotonically non-increasing."""
+    the list is in processing order, coarsest level first (ModelConfig
+    checks that it is positive and non-increasing)."""
     widths = [int(w) for w in widths]
-    if not widths or any(w < 1 for w in widths):
-        raise ValueError(f"fit_widths: bad widths {widths}")
-    if any(a < b for a, b in zip(widths, widths[1:])):
-        raise ValueError(f"fit_widths: widths must be non-increasing, got {widths}")
     out = widths[:n_levels]
     while len(out) < n_levels:
         out.append(out[-1])

@@ -86,7 +86,6 @@ class MeshTemplate:
     skinning_weights: np.ndarray  # (V, J), rows sum to 1
     skeleton_edges: list[tuple[int, int]]
     symmetry_pairs: list[tuple[int, int]]
-    joint_names: list[str]
     root_index: int
 
     @property
@@ -217,7 +216,6 @@ def build_tube_body(spec: TubeBodySpec) -> MeshTemplate:
         skinning_weights=weights,
         skeleton_edges=[(PARENTS[c], c) for c in range(1, n_joints)],
         symmetry_pairs=list(SYMMETRY_PAIRS),
-        joint_names=list(JOINT_NAMES),
         root_index=ROOT_INDEX,
     )
     template.validate()

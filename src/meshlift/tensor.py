@@ -47,7 +47,6 @@ __all__ = [
     "matmul",
     "mul",
     "reduce_sum",
-    "relu",
     "reshape",
     "sub",
     "transpose",
@@ -230,16 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g * ad, bd.shape) if needs[1] else None)
 
     return _apply("mul", (a, b), ad * bd, bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    _check_tensor("relu", a)
-    out = np.maximum(a.data, 0)
-
-    def bw(g, needs):  # out > 0 exactly where a > 0, and a can be freed
-        return (g * (out > 0) if needs[0] else None,)
-
-    return _apply("relu", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,20 @@ TRACE_COLUMNS = ["epoch", "iter", "lr", "L_pose", "L_vertex", "L_joint",
 
 
 class RMSprop:
-    """Per-element v <- a*v + (1-a)*g^2; theta <- theta - lr*g/(sqrt(v)+eps).
+    """Per-element v <- a*v + (1-a)*g^2; theta <- theta - lr*g/(sqrt(v)+eps),
+    with a = RMSPROP_ALPHA and eps = RMSPROP_EPS.
 
     The update runs in place, in blocks of RMSPROP_BLOCK values through two
     block-sized scratch arrays per dtype, so no parameter-sized temporary
     is made; the arithmetic and its order are the plain expression's.
     """
 
-    def __init__(self, named_params, lr: float, alpha: float = RMSPROP_ALPHA,
-                 eps: float = RMSPROP_EPS):
+    def __init__(self, named_params, lr: float):
         self.params = list(named_params)
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise ValueError("rmsprop: duplicate parameter names")
         self.lr = float(lr)
-        self.alpha = alpha
-        self.eps = eps
         self.state = {n: np.zeros_like(p.data) for n, p in self.params}
         self._scratch = {p.data.dtype: np.empty((2, RMSPROP_BLOCK), p.data.dtype)
                          for _, p in self.params}
@@ -80,12 +78,12 @@ class RMSprop:
             for i in range(0, w.size, RMSPROP_BLOCK):
                 gb, vb, wb = (x[i:i + RMSPROP_BLOCK] for x in (g, v, w))
                 t1, t2 = scratch[:, :wb.size]
-                vb *= self.alpha
-                np.multiply(gb, 1.0 - self.alpha, out=t1)
+                vb *= RMSPROP_ALPHA
+                np.multiply(gb, 1.0 - RMSPROP_ALPHA, out=t1)
                 t1 *= gb
                 vb += t1
                 np.sqrt(vb, out=t2)
-                t2 += self.eps
+                t2 += RMSPROP_EPS
                 np.multiply(gb, self.lr, out=t1)
                 t1 /= t2
                 wb -= t1
@@ -397,7 +395,11 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
 
 def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                max_iterations: int | None = None) -> TrainResult:
-    """End-to-end training of lifter + mesh regressor from a stage-1 start."""
+    """End-to-end training of lifter + mesh regressor from a stage-1 start;
+    ``max_iterations`` (>= 1) stops it early."""
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"train_full: max_iterations must be >= 1, "
+                         f"got {max_iterations}")
     _keep_freed_heap()
     if any(s.mesh is None for s in samples):
         raise ValueError("train_full: every sample needs a ground-truth mesh")

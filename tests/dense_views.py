@@ -24,13 +24,19 @@ def table_from_dense(m) -> G.RowTable:
 
 
 def graph_from_dense(a) -> G.Graph:
-    """Graph from a dense adjacency matrix; Graph validates it."""
-    return G.Graph(table_from_dense(a))
+    """Graph from a dense 0/1 adjacency matrix; Graph validates its
+    structure."""
+    table = table_from_dense(a)
+    if np.any(table.values[table.cols >= 0] != 1):
+        raise ValueError("graph_from_dense: adjacency entries must be 0 or 1")
+    return G.Graph(table.cols)
 
 
 def dense(x) -> np.ndarray:
     """Float64 matrix of a Graph (its adjacency), RowTable or ScaledLaplacian."""
-    if isinstance(x, (G.Graph, G.ScaledLaplacian)):
+    if isinstance(x, G.Graph):
+        x = G.RowTable(x.neighbors, (x.neighbors >= 0).astype(np.float64))
+    elif isinstance(x, G.ScaledLaplacian):
         x = x.table
     return x.to_dense(np.float64)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from meshlift.cli import main
+from meshlift.cli import build_parser, main
 from meshlift.coarsen import graclus_coarsen
 from meshlift.config import resolve_config
 from meshlift.graphs import build_mesh_graph
@@ -251,13 +251,32 @@ class TestErrors:
                      "--out", str(data), "--count", "1"]) == 0
         capsys.readouterr()
         out = tmp_path / "run"
+        start = (["--checkpoint", str(workspace["pose"] / "posenet.ckpt")]
+                 if command == "train-full" else [])
         rc = main([command, "--config", str(workspace["cfg"]), "--seed", "3",
                    "--dataset", str(data / "dataset.jsonl"), "--out", str(out),
-                   "--checkpoint", str(workspace["pose"] / "posenet.ckpt")])
+                   *start])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: training needs at least 2 samples, the dataset has 1"]
         assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("widths", [[32, 64], [64, 0], [64, -3]])
+    def test_bad_level_widths_stop_train_pose_before_training(
+            self, workspace, tmp_path, capsys, widths):
+        """train-full would reject the lifter checkpoint; train-pose fails
+        when it resolves the config, and writes nothing."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY, "model": {**TINY["model"],
+                                                     "level_widths": widths}}))
+        out = tmp_path / "pose"
+        rc = main(["train-pose", "--config", str(cfg), "--seed", "3",
+                   "--dataset", str(workspace["data"] / "dataset.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config.model.level_widths: expected")
+        assert not out.exists()
 
     def test_checkpoint_config_mismatch(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--config", str(workspace["cfg"]), "--seed", "4",
@@ -302,3 +321,42 @@ class TestErrors:
             main(["eval", "--input", "oracle"])
         capsys.readouterr()
         assert e.value.code == 2
+
+
+# Each command's flags: --config and --profile choose the config, and the
+# others are the ones the command reads.
+TAKES = {
+    "gen-data": {"seed", "template", "count", "out"},
+    "coarsen": {"seed", "template", "levels"},
+    "gradcheck": {"seed"},
+    "train-pose": {"seed", "template", "levels", "dataset", "out"},
+    "train-full": {"seed", "template", "levels", "dataset", "checkpoint", "out"},
+    "eval": {"seed", "template", "levels", "dataset", "checkpoint", "input",
+             "tau", "out"},
+    "infer": {"seed", "template", "levels", "dataset", "checkpoint", "input",
+              "index", "out"},
+    "export-obj": {"template", "dataset", "index", "out"},
+}
+SHARED = {"config", "profile", "seed", "template", "levels", "dataset",
+          "checkpoint", "input", "tau", "out"}
+FLAG_VALUES = {"config": "c.json", "profile": "paper", "seed": "5",
+               "template": "t.json", "levels": "2", "dataset": "d.jsonl",
+               "checkpoint": "m.ckpt", "input": "synth", "tau": "5",
+               "count": "3", "index": "1", "out": "o"}
+
+
+def test_flag_command_pairs():
+    assert sum(2 + len(flags) for flags in TAKES.values()) == 55
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_command_takes_only_the_flags_it_reads(command, capsys):
+    parser = build_parser()
+    for flag in {"config", "profile"} | TAKES[command]:
+        args = parser.parse_args([command, f"--{flag}", FLAG_VALUES[flag]])
+        assert vars(args)[flag] not in (None, "desk", 0, 64), flag  # not a default
+    for flag in sorted(SHARED - {"config", "profile"} - TAKES[command]):
+        with pytest.raises(SystemExit) as e:
+            main([command, f"--{flag}", FLAG_VALUES[flag]])
+        assert e.value.code == 2, flag
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err

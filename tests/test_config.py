@@ -100,6 +100,24 @@ class TestStrictness:
         with pytest.raises(ValueError, match="taus"):
             resolve_config("desk", {"eval": {"taus": []}})
 
+    @pytest.mark.parametrize("widths", [[32, 64], [64, 0], [64, -3], []])
+    def test_level_widths_positive_and_non_increasing(self, widths):
+        with pytest.raises(ValueError, match=re.escape(
+                f"config.model.level_widths: expected a non-empty, "
+                f"non-increasing list of positives, got {widths}")):
+            resolve_config("desk", {"model": {"level_widths": widths}})
+        assert resolve_config("desk", {"model": {"level_widths": [64, 64, 8]}})
+
+    @pytest.mark.parametrize("mask", [[-1], [], [0, 99], [3, 3]],
+                             ids=["negative", "empty", "past-last-joint",
+                                  "repeated"])
+    def test_joint_mask_distinct_joint_indices(self, mask):
+        with pytest.raises(ValueError, match=re.escape(
+                f"config.eval.joint_mask: expected distinct joint indices in "
+                f"0..11, got {mask}")):
+            resolve_config("desk", {"eval": {"joint_mask": mask}})
+        assert resolve_config("desk", {"eval": {"joint_mask": [11, 0]}})
+
     def test_loss_weights_parse(self):
         cfg = resolve_config("desk", {"train": {"loss_weights": {"edge": 5.0}}})
         assert cfg.train.loss_weights.edge == 5.0

@@ -9,6 +9,8 @@ from meshlift.config import resolve_config
 from meshlift.data import generate_synthetic_dataset
 from meshlift.evaluate import (posenet_mpjpe, predict, report_lines,
                                run_evaluation)
+from meshlift.metrics import align_batch
+from meshlift.template import ROOT_INDEX
 from meshlift.train import build_models
 
 TINY = {
@@ -128,6 +130,25 @@ class TestReport:
         full = run_evaluation(cfg, template, posenet, meshnet, samples)
         sub = run_evaluation(masked, template, posenet, meshnet, samples)
         assert full["mpjpe_mm"] != sub["mpjpe_mm"]
+
+    def test_valid_joint_mask_scores_exactly_its_joints(self, setup):
+        """A mask that passes validation scores the joints it names, once
+        each, in the expressions of the metrics; the mesh metrics ignore it."""
+        cfg, template, samples, posenet, meshnet = setup
+        mask = [11, 0, 4]
+        masked = resolve_config("desk", {**TINY, "eval": {**TINY["eval"],
+                                                          "joint_mask": mask}})
+        report = run_evaluation(masked, template, posenet, meshnet, samples)
+        full = run_evaluation(cfg, template, posenet, meshnet, samples)
+        pred = predict(cfg, template, posenet, meshnet, samples)
+        p, g = pred["pred_joints"], pred["gt_joints"]
+        rel_p, rel_g = (a - a[:, ROOT_INDEX:ROOT_INDEX + 1] for a in (p, g))
+        assert report["mpjpe_mm"] == float(
+            np.linalg.norm(rel_p[:, mask] - rel_g[:, mask], axis=2).mean())
+        assert report["pa_mpjpe_mm"] == float(
+            np.linalg.norm(align_batch(p, g)[:, mask] - g[:, mask], axis=2).mean())
+        assert (report["mpvpe_mm"], report["f_at"]) == (full["mpvpe_mm"],
+                                                        full["f_at"])
 
     def test_empty_dataset(self, setup):
         cfg, template, _, posenet, meshnet = setup

@@ -128,12 +128,12 @@ class TestNeighbourTable:
             real = row[row >= 0]
             assert np.all(row[real.size:] == -1)
             np.testing.assert_array_equal(real, np.flatnonzero(dense(g)[i]))
-        np.testing.assert_array_equal(g.weights, (nbr >= 0).astype(float))
+        np.testing.assert_array_equal(g.degrees, dense(g).sum(axis=1))
 
     def test_rejects_unsorted_or_repeated_rows(self):
         nbr = np.array([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="ascending"):
-            G.Graph(G.RowTable(nbr, np.ones((2, 2))))
+            G.Graph(nbr)
         with pytest.raises(ValueError, match="repeated"):
             G.row_table(2, [0, 0], [1, 1], [1.0, 1.0])
         with pytest.raises(ValueError, match="outside"):

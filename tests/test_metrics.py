@@ -8,13 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshlift.metrics import (NN_BLOCK_ROWS, _kabsch_umeyama,
-                              _validate_similarity, align_batch, f_score,
-                              f_scores, mpjpe, mpvpe, pa_mpjpe)
+                              _nearest_distances, _validate_similarity,
+                              align_batch, f_score, f_scores, mpjpe, mpvpe,
+                              pa_mpjpe)
 from meshlift.template import euler_rotation
 
 
 def random_cloud(rng, n=2, p=12, scale=100.0):
     return rng.standard_normal((n, p, 3)) * scale
+
+
+def off_axis(pred, shifts):
+    """A target for a prediction on the x axis at x = -150, -50, 50, 150:
+    the prediction with ``shifts`` added along y. The shifts (70, -70,
+    -70, 70) sum to 0 and to 0 against x, and are orthogonal to the
+    prediction, so the best similarity transform of the prediction onto
+    the target is the identity: alignment leaves it where it is."""
+    gt = pred.copy()
+    gt[..., 1] += shifts
+    np.testing.assert_allclose(align_batch(pred, gt), pred, rtol=0, atol=1e-9)
+    return gt
+
+
+AXIS_X = np.array([-150.0, -50.0, 50.0, 150.0])
+AXIS_SHIFTS = np.array([70.0, -70.0, -70.0, 70.0])
 
 
 def similarity(points, rng):
@@ -144,15 +161,16 @@ class TestFScore:
         assert f_score(gt.copy(), gt, tau=1e-6) == 1.0
 
     def test_half_displaced_gives_two_thirds(self):
-        # gt points come in coincident pairs; one pred of each pair stays
-        # exact, the other moves beyond tau -> P = 0.5 while R = 1
-        base = np.zeros((4, 3))
-        base[:, 0] = np.arange(4) * 100.0
-        gt = np.repeat(base, 2, axis=0)
-        pred = gt.copy()
-        pred[1::2, 1] += 70.0
-        val = f_score(pred, gt, tau=1.0, align=False)
-        assert val == pytest.approx(2 * 0.5 * 1 / 1.5, abs=1e-12)
+        # pred points come in coincident pairs; the gt twin of one point of
+        # each pair stays exact, the other moves beyond tau -> P = 1 while
+        # R = 0.5, on inputs that alignment does not move
+        pred = np.zeros((1, 8, 3))
+        pred[0, :, 0] = np.repeat(AXIS_X, 2)
+        shifts = np.zeros(8)
+        shifts[1::2] = AXIS_SHIFTS
+        gt = off_axis(pred, shifts)
+        val = f_score(pred, gt, tau=1.0)
+        assert val == pytest.approx(2 * 1 * 0.5 / 1.5, abs=1e-12)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(3)
@@ -164,20 +182,33 @@ class TestFScore:
         assert vals[-1] == 1.0
 
     def test_zero_when_nothing_matches(self):
-        gt = np.zeros((1, 4, 3))
-        gt[0, :, 0] = [0, 1, 2, 3]
-        pred = gt + np.array([1e6, 0, 0])
-        assert f_score(pred, gt, tau=1.0, align=False) == 0.0
+        # every point is 70 mm from the other set, and alignment does not
+        # move the prediction
+        pred = np.zeros((1, 4, 3))
+        pred[0, :, 0] = AXIS_X
+        gt = off_axis(pred, AXIS_SHIFTS)
+        assert f_score(pred, gt, tau=1.0) == 0.0
 
-    def test_alignment_default_forgives_similarity(self):
+    def test_alignment_forgives_similarity(self):
         rng = np.random.default_rng(4)
         gt = random_cloud(rng, n=1, p=15)
         pred = similarity(gt, rng)
         assert f_score(pred, gt, tau=1e-3) == 1.0
-        assert f_score(pred, gt, tau=1.0, align=False) < 1.0
+        # unaligned, some point lies beyond tau = 1 of the other set
+        p_to_g, g_to_p = _nearest_distances(pred[0], gt[0])
+        assert max(p_to_g.max(), g_to_p.max()) > 1.0
 
-    @pytest.mark.parametrize("align", [True, False])
-    def test_equals_brute_force_reference(self, align):
+    def test_nearest_distances_equal_brute_force(self):
+        # V spans more than one block of the sweep
+        rng = np.random.default_rng(6)
+        v = 2 * NN_BLOCK_ROWS + 37
+        a, b = random_cloud(rng, n=2, p=v)
+        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        a_to_b, b_to_a = _nearest_distances(a, b)
+        np.testing.assert_array_equal(a_to_b, d.min(axis=1))
+        np.testing.assert_array_equal(b_to_a, d.min(axis=0))
+
+    def test_equals_brute_force_reference(self):
         # reference: the full (V, V, 3) norm matrix, one tau at a time;
         # V spans more than one block of the nearest-neighbour sweep
         rng = np.random.default_rng(6)
@@ -187,7 +218,7 @@ class TestFScore:
         taus = [0.01, 0.5, 2.0, 5.0, 10.0, 40.0]
 
         def reference(tau):
-            p = align_batch(pred, gt) if align else pred
+            p = align_batch(pred, gt)
             scores = []
             for a, b in zip(p, gt):
                 d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
@@ -197,12 +228,11 @@ class TestFScore:
                 scores.append(0.0 if total == 0 else 2 * precision * recall / total)
             return float(np.mean(scores))
 
-        got = f_scores(pred, gt, taus, align=align)
+        got = f_scores(pred, gt, taus)
         assert got == [reference(tau) for tau in taus]
         assert got == sorted(got) and 0.0 < got[3] < 1.0
         for tau in taus:
-            assert f_score(pred, gt, tau, align=align) == \
-                f_scores(pred, gt, [tau], align=align)[0]
+            assert f_score(pred, gt, tau) == f_scores(pred, gt, [tau])[0]
 
     def test_memory_linear_in_vertex_count(self):
         # a (V, V, 3) float64 difference array alone would be 216 MB here

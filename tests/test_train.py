@@ -304,6 +304,18 @@ class TestStage2:
         s2 = train_full(cfg, samples, s1.checkpoint_path, max_iterations=3)
         assert len(s2.trace) == 3
 
+    @pytest.mark.parametrize("max_iterations", [0, -5])
+    def test_max_iterations_below_one_is_rejected(self, tmp_path, max_iterations):
+        """Rejected before the checkpoint is read or any model is built:
+        the checkpoint path does not exist, and nothing is written."""
+        cfg = tiny_cfg()
+        _, samples = tiny_data()
+        with pytest.raises(ValueError, match=re.escape(
+                f"train_full: max_iterations must be >= 1, got {max_iterations}")):
+            train_full(cfg, samples, tmp_path / "missing.ckpt",
+                       out_dir=tmp_path / "s2", max_iterations=max_iterations)
+        assert not (tmp_path / "s2").exists()
+
     def test_requires_mesh_ground_truth(self, tmp_path):
         cfg = tiny_cfg()
         _, samples = tiny_data()
@@ -720,8 +732,8 @@ class TestCheckpointV1:
             centered = x.data - bn.running_mean.astype(x.dtype)
             denom = np.sqrt(bn.running_var.astype(np.float64)
                             + BN_EPS).astype(x.dtype)
-            out = Tensor(centered / denom * bn.gamma.data + bn.beta.data)
-            return T.relu(out) if relu else out
+            out = centered / denom * bn.gamma.data + bn.beta.data
+            return Tensor(np.maximum(out, 0) if relu else out)
 
         monkeypatch.setattr(BatchNorm1d, "forward", chain)
         want = predict(cfg, template, posenet, meshnet, samples, "gt2d")
