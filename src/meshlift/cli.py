@@ -25,13 +25,14 @@ from .template import build_tube_body
 from .train import load_models, train_full, train_posenet
 
 
-# Every flag's argparse settings. A command takes --config and --profile,
-# which choose the config it resolves, plus only the flags it reads
-# (COMMANDS), so a flag it would ignore is a usage error (exit 2).
+# Every flag's argparse settings. A command takes --config, which chooses
+# the config it resolves, plus only the flags it reads (COMMANDS), so a
+# flag it would ignore is a usage error (exit 2). --profile is one of
+# those: the profiles differ only in values some commands never read.
 FLAGS = {
     "config": {"help": "JSON run-config file"},
-    "profile": {"choices": PROFILES, "default": "desk",
-                "help": "base configuration profile"},
+    "profile": {"choices": PROFILES,
+                "help": "base configuration profile (default: desk)"},
     "seed": {"type": int, "help": "override the config seed"},
     "template": {"help": "body-spec JSON overriding the config"},
     "levels": {"type": int, "help": "coarsening levels"},
@@ -62,7 +63,7 @@ def _resolve(args):
         overrides.setdefault("eval", {})["input"] = args.input
     if flag("tau"):
         overrides.setdefault("eval", {})["taus"] = list(args.tau)
-    return resolve_config(args.profile, file_dict, overrides)
+    return resolve_config(flag("profile") or "desk", file_dict, overrides)
 
 
 def _require(args, *names):
@@ -230,20 +231,20 @@ def cmd_export_obj(args) -> int:
 
 COMMANDS = [
     ("gen-data", cmd_gen_data, "generate a template and JSONL dataset",
-     ("seed", "template", "count", "out")),
+     ("profile", "seed", "template", "count", "out")),
     ("coarsen", cmd_coarsen, "print the graph coarsening hierarchy",
      ("seed", "template", "levels")),
     ("gradcheck", cmd_gradcheck, "run the gradient-check suite", ("seed",)),
     ("train-pose", cmd_train_pose, "stage 1: train the 2D->3D lifter",
-     ("seed", "template", "levels", "dataset", "out")),
+     ("profile", "seed", "template", "dataset", "out")),
     ("train-full", cmd_train_full, "stage 2: train the full pipeline",
-     ("seed", "template", "levels", "dataset", "checkpoint", "out")),
+     ("profile", "seed", "template", "levels", "dataset", "checkpoint", "out")),
     ("eval", cmd_eval, "metric report for a checkpoint on a dataset",
-     ("seed", "template", "levels", "dataset", "checkpoint", "input", "tau",
-      "out")),
+     ("profile", "seed", "template", "levels", "dataset", "checkpoint", "input",
+      "tau", "out")),
     ("infer", cmd_infer, "run one sample and write the predicted OBJ",
-     ("seed", "template", "levels", "dataset", "checkpoint", "input", "index",
-      "out")),
+     ("profile", "seed", "template", "levels", "dataset", "checkpoint", "input",
+      "index", "out")),
     ("export-obj", cmd_export_obj, "write a template or dataset mesh OBJ",
      ("template", "dataset", "index", "out")),
 ]
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_text, flags in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag in ("config", "profile") + flags:
+        for flag in ("config",) + flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
         p.set_defaults(func=fn)
     return parser

@@ -255,18 +255,25 @@ def checkpoint_config(cfg: RunConfig) -> dict:
             "K": cfg.model.order, "model": to_dict(cfg.model)}
 
 
-def check_checkpoint_config(stored: dict, cfg: RunConfig) -> None:
+def check_checkpoint_config(stored: dict, cfg: RunConfig, has_mesh: bool) -> None:
     """Raise when a checkpoint disagrees with the active run config on a
-    top-level key or a stored ``model`` key but dropout, which only
-    changes training-mode forwards."""
+    key its weights depend on, naming the first such key. A checkpoint
+    with mesh weights is compared on every top-level key and every stored
+    ``model`` key but dropout, which only changes training-mode forwards;
+    a lifter-only one on ``template``, ``seed``, ``model.hidden`` and
+    ``model.num_blocks``."""
     expect, model = checkpoint_config(cfg), stored.get("model")
     if not isinstance(model, dict):
         raise ValueError(f"checkpoint config mismatch on 'model': checkpoint "
                          f"has {model!r}")
-    pairs = [(key, stored.get(key), expect[key])
-             for key in ("template", "levels", "seed", "widths", "K")]
-    pairs += [(f"model.{key}", value, expect["model"].get(key))
-              for key, value in model.items() if key != "dropout"]
+    if has_mesh:
+        keys = ("template", "levels", "seed", "widths", "K")
+        model_keys = [key for key in model if key != "dropout"]
+    else:
+        keys, model_keys = ("template", "seed"), ("hidden", "num_blocks")
+    pairs = [(key, stored.get(key), expect[key]) for key in keys]
+    pairs += [(f"model.{key}", model.get(key), expect["model"].get(key))
+              for key in model_keys]
     for key, have, want in pairs:
         if have != want:
             raise ValueError(f"checkpoint config mismatch on {key!r}: "

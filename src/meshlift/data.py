@@ -68,22 +68,23 @@ def check_sample_shapes(samples, template: MeshTemplate, min_samples: int = 1) -
                                  f"the template has {want}")
 
 
-def normalize_2d_pose(pose2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Remove the per-instance mean and scale of a 2D pose.
+def normalize_2d_pose(pose2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Remove the per-instance mean and scale of 2D poses, (..., J, 2).
 
-    Subtracts the per-axis mean, then divides by the scalar standard
-    deviation of all 2J centered coordinates. Returns (normalized, mean,
-    std) so the transform can be undone.
+    Subtracts each pose's per-axis mean, then divides by the scalar
+    standard deviation of its 2J centered coordinates. Returns
+    (normalized, mean, std), mean (..., 2) and std (...) with the batch
+    dims, so the transform can be undone.
     """
     pose2d = np.asarray(pose2d, dtype=np.float64)
-    if pose2d.ndim != 2 or pose2d.shape[1] != 2:
-        raise ValueError(f"normalize_2d_pose: expected (J, 2), got {pose2d.shape}")
-    mean = pose2d.mean(axis=0)
-    centered = pose2d - mean
-    std = float(np.sqrt(np.mean(centered ** 2)))
-    if std <= 1e-8:
+    if pose2d.ndim < 2 or pose2d.shape[-1] != 2:
+        raise ValueError(f"normalize_2d_pose: expected (..., J, 2), got {pose2d.shape}")
+    mean = pose2d.mean(axis=-2)
+    centered = pose2d - mean[..., None, :]
+    std = np.sqrt(np.mean(centered ** 2, axis=(-2, -1)))
+    if np.any(std <= 1e-8):
         raise ValueError("normalize_2d_pose: degenerate pose, all joints coincide")
-    return centered / std, mean, std
+    return centered / std[..., None, None], mean, std
 
 
 def synthesize_pose_errors(pose2d: np.ndarray, cfg: ErrorSynthConfig,

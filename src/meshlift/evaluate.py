@@ -21,15 +21,13 @@ EVAL_SYNTH_STREAM = 3  # rng namespace: [seed, EVAL_SYNTH_STREAM, sample index]
 
 def _normalized_inputs(samples, input_mode: str, synth_cfg, symmetry_pairs,
                        seed: int) -> np.ndarray:
-    x2d = []
-    for i, s in enumerate(samples):
-        p2d = s.pose2d
-        if input_mode == "synth":
-            rng = np.random.default_rng([seed, EVAL_SYNTH_STREAM, i])
-            p2d = synthesize_pose_errors(p2d, synth_cfg, symmetry_pairs, rng)
-        norm, _, _ = normalize_2d_pose(p2d)
-        x2d.append(norm)
-    return np.stack(x2d)
+    p2d = [s.pose2d for s in samples]
+    if input_mode == "synth":
+        p2d = [synthesize_pose_errors(
+                   p, synth_cfg, symmetry_pairs,
+                   np.random.default_rng([seed, EVAL_SYNTH_STREAM, i]))
+               for i, p in enumerate(p2d)]
+    return normalize_2d_pose(np.stack(p2d))[0]
 
 
 def lift_poses(posenet, x2d_norm: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -107,7 +105,7 @@ def run_evaluation(cfg: RunConfig, template: MeshTemplate, posenet, meshnet,
 
 def posenet_mpjpe(posenet, samples, batch_size: int = 64) -> float:
     """Lifter-only MPJPE on clean inputs (the stage-1 training target)."""
-    x2d = np.stack([normalize_2d_pose(s.pose2d)[0] for s in samples])
+    x2d = normalize_2d_pose(np.stack([s.pose2d for s in samples]))[0]
     gt3d = np.stack([s.pose3d for s in samples])
     lifted = lift_poses(posenet, x2d, batch_size)
     return mpjpe(lifted, gt3d, root_index=ROOT_INDEX)

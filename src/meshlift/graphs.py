@@ -55,13 +55,6 @@ class RowTable(NamedTuple):
         """self @ x for a finite x: padding reads x[-1] and multiplies it by 0."""
         return np.einsum("ij,ij->i", self.values, x[self.cols])
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        n = self.num_rows
-        out = np.zeros((n, n), dtype=dtype)
-        rows, k = np.nonzero(self.cols >= 0)
-        out[rows, self.cols[rows, k]] = self.values[rows, k]
-        return out
-
 
 def row_table(num_rows: int, rows, cols, values) -> RowTable:
     """Pack (row, col, value) entries, in any order, into a RowTable."""

@@ -1,9 +1,12 @@
 """Evaluation metrics: position errors and surface F-score.
 
-Everything here is plain float64 numpy; metrics never need gradients.
-Point sets are (P, 3) or batched (N, P, 3) arrays in millimeters;
-batched inputs return the mean over samples, accumulated in sample
-order.
+Everything here is plain numpy; metrics never need gradients. Every
+reported number is a float64 result: the F-score's nearest-neighbour
+sweep runs in float32, but only to decide the points that lie far from
+every threshold, and each point near one is decided by the float64
+arithmetic (see ``f_scores``). Point sets are (P, 3) or batched
+(N, P, 3) arrays in millimeters; batched inputs return the mean over
+samples, accumulated in sample order.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ import numpy as np
 
 PROCRUSTES_EPS = 1e-12
 ORTHONORMAL_TOL = 1e-9
-# Prediction rows per block of the nearest-neighbour sweep: its working
-# set is a few (NN_BLOCK_ROWS, P) float64 arrays, linear in the point count.
+# Rows of the first point set per block of the nearest-neighbour sweep: a
+# block holds whole samples, or part of one sample with more points, and
+# its working set is two (NN_BLOCK_ROWS, P) arrays, linear in the point
+# count.
 NN_BLOCK_ROWS = 256
 
 
@@ -120,25 +125,39 @@ def mpvpe(pred_mesh, gt_mesh, root_regressor_row) -> float:
     return float(np.linalg.norm(pred - gt, axis=2).mean())
 
 
-def _nearest_distances(a, b):
-    """Distances from each point of ``a`` to its nearest in ``b``, and back.
+def _sweep(a, b, dtype):
+    """Squared distance from each point of ``a[n]`` to its nearest in
+    ``b[n]``, and back: (N, Pa) and (N, Pb) arrays of ``dtype``.
 
-    Exact, in blocks of ``NN_BLOCK_ROWS`` rows of ``a``: squares are summed
-    x, y, z in that order, as ``np.linalg.norm`` does, and only the minima
-    are square-rooted (``sqrt`` is monotone and correctly rounded). The
-    Gram expansion is avoided: its cancellation can flip a ``<= tau`` test.
+    One pass over blocks of at most ``NN_BLOCK_ROWS`` rows of ``a``, each
+    written into the same two buffers. Squares are summed x, y, z in that
+    order, as ``np.linalg.norm`` does, so in float64 the minima are the
+    ones a brute-force norm matrix holds after squaring. The Gram
+    expansion is avoided: its cancellation can flip a ``<= tau`` test.
     """
-    bx, by, bz = np.ascontiguousarray(b.T)
-    a_to_b = np.empty(len(a))
-    b_to_a = np.full(len(b), np.inf)
-    for start in range(0, len(a), NN_BLOCK_ROWS):
-        block = a[start:start + NN_BLOCK_ROWS]
-        sq = (block[:, 0:1] - bx) ** 2
-        sq += (block[:, 1:2] - by) ** 2
-        sq += (block[:, 2:3] - bz) ** 2
-        a_to_b[start:start + len(block)] = sq.min(axis=1)
-        np.minimum(b_to_a, sq.min(axis=0), out=b_to_a)
-    return np.sqrt(a_to_b), np.sqrt(b_to_a)
+    a = a.astype(dtype, copy=False)
+    bt = np.ascontiguousarray(b.transpose(2, 0, 1), dtype=dtype)  # (3, N, Pb)
+    n, pa, _ = a.shape
+    rows = min(pa, NN_BLOCK_ROWS)
+    per = min(n, NN_BLOCK_ROWS // rows)  # whole samples per block
+    a_to_b = np.empty((n, pa), dtype)
+    b_to_a = np.full((n, bt.shape[2]), np.inf, dtype)
+    sq = np.empty((per, rows, bt.shape[2]), dtype)
+    tmp = np.empty_like(sq)
+    for s0 in range(0, n, per):
+        s1 = min(n, s0 + per)
+        for r0 in range(0, pa, rows):
+            block = a[s0:s1, r0:r0 + rows]
+            q, t = sq[:s1 - s0, :block.shape[1]], tmp[:s1 - s0, :block.shape[1]]
+            np.subtract(block[:, :, 0:1], bt[0, s0:s1, None], out=q)
+            np.multiply(q, q, out=q)
+            for c in (1, 2):
+                np.subtract(block[:, :, c:c + 1], bt[c, s0:s1, None], out=t)
+                np.multiply(t, t, out=t)
+                q += t
+            q.min(axis=2, out=a_to_b[s0:s1, r0:r0 + rows])
+            np.minimum(b_to_a[s0:s1], q.min(axis=1), out=b_to_a[s0:s1])
+    return a_to_b, b_to_a
 
 
 def f_scores(pred, gt, taus) -> list[float]:
@@ -146,7 +165,25 @@ def f_scores(pred, gt, taus) -> list[float]:
 
     Precision: fraction of predicted points within tau of the target set;
     recall: the reverse. Similarity-aligns once, then thresholds each
-    sample's nearest-neighbour distances at every tau.
+    point's nearest-neighbour distance at every tau.
+
+    A point is within tau when ``sqrt(d2) <= tau``, with ``d2`` its
+    smallest float64 squared distance (``_sweep``'s sum), and every
+    decision equals that one bit for bit. The sweep runs in float32, and
+    its distance ``d`` decides each point with ``|d - tau| > M`` at every
+    tau, where M = 64u(S + tau) + 2^-60 mm, u = 2^-24 and S is the largest
+    |coordinate| of the sample's aligned prediction and target. The other
+    points are swept again in float64, and so is every point of a sample
+    whose S is 2^60 or more, or not finite.
+
+    The bound: rounding the float64 inputs to float32 moves every pair
+    distance by at most 2*sqrt(3)*uS, and the float32 difference, square,
+    two sums and square root add less than 3.6u relative error (a minimum
+    keeps both bounds); the float64 distance is within 4 * 2^-53 relative
+    of exact. So if float64 puts a point within tau, the float32 distance
+    is below tau + 4u(S + tau) < tau + M, and if float64 puts it beyond
+    tau, the float32 distance is above tau - M. Float32 underflow adds
+    less than 2^-73 mm, and S < 2^60 keeps every float32 square finite.
     """
     pred, gt = _check_pair(pred, gt)
     if pred.shape[1] == 0:
@@ -154,15 +191,27 @@ def f_scores(pred, gt, taus) -> list[float]:
     if any(tau <= 0 for tau in taus):
         raise ValueError("tau must be positive")
     pred = align_batch(pred, gt)
-    scores = [[] for _ in taus]
-    for p, g in zip(pred, gt):
-        p_to_g, g_to_p = _nearest_distances(p, g)
-        for tau, per_sample in zip(taus, scores):
-            precision = (p_to_g <= tau).mean()
-            recall = (g_to_p <= tau).mean()
-            total = precision + recall
-            per_sample.append(0.0 if total == 0 else 2 * precision * recall / total)
-    return [float(np.mean(s)) for s in scores]
+    scale = np.maximum(np.abs(pred).max(axis=(1, 2)), np.abs(gt).max(axis=(1, 2)))
+    in_range = scale < 2.0 ** 60  # False for NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # such samples rerun
+        dists = [np.sqrt(d2).astype(np.float64)
+                 for d2 in _sweep(pred, gt, np.float32)]
+    for d, a, b in zip(dists, (pred, gt), (gt, pred)):
+        near = np.broadcast_to(~in_range[:, None], d.shape)
+        for tau in taus:
+            margin = 64 * 2.0 ** -24 * (scale + tau) + 2.0 ** -60
+            near = near | (np.abs(d - tau) <= margin[:, None])
+        for i in np.flatnonzero(near.any(axis=1)):
+            rows = near[i]
+            d[i, rows] = np.sqrt(_sweep(a[i, rows][None], b[i:i + 1],
+                                        np.float64)[0][0])
+    scores = []
+    for tau in taus:
+        precision, recall = ((d <= tau).mean(axis=1) for d in dists)
+        total = precision + recall
+        per_sample = 2 * precision * recall / np.where(total == 0, 1.0, total)
+        scores.append(float(np.mean(per_sample)))
+    return scores
 
 
 def f_score(pred, gt, tau: float) -> float:

@@ -186,7 +186,9 @@ def _restore_models(path, cfg: RunConfig, dtype=np.float32, template=None):
     coarsened from cfg.seed. A malformed hierarchy, or a tensor that no
     restored network owns, is rejected."""
     stored, tensors, record = load_checkpoint(path)
-    check_checkpoint_config(stored, cfg)
+    restored = {prefix for prefix in ("posenet", "meshnet")
+                if any(k.startswith(prefix + ".") for k in tensors)}
+    check_checkpoint_config(stored, cfg, "meshnet" in restored)
     if template is None:
         template = build_tube_body(cfg.template)
     structure = None
@@ -196,8 +198,6 @@ def _restore_models(path, cfg: RunConfig, dtype=np.float32, template=None):
                                               cfg.model.levels)
         except ValueError as e:
             raise ValueError(f"checkpoint {path}: {e}") from None
-    restored = {prefix for prefix in ("posenet", "meshnet")
-                if any(k.startswith(prefix + ".") for k in tensors)}
     models = build_models(cfg, dtype, template, structure, restored)
     owned = set()
     for prefix, model in (("posenet", models[3]), ("meshnet", models[4])):
@@ -227,21 +227,14 @@ def load_models(path, cfg: RunConfig, dtype=np.float32):
 
 def assemble_batch(samples, idxs, synth_cfg, symmetry_pairs, rng, *,
                    need_mesh: bool):
-    """Corrupt (optionally), normalize, and stack one mini-batch."""
-    x2d, gt3d, mesh = [], [], []
-    for i in idxs:
-        s = samples[i]
-        p2d = s.pose2d
-        if synth_cfg is not None:
-            p2d = synthesize_pose_errors(p2d, synth_cfg, symmetry_pairs, rng)
-        norm, _, _ = normalize_2d_pose(p2d)
-        x2d.append(norm)
-        gt3d.append(s.pose3d)
-        if need_mesh:
-            mesh.append(s.mesh)
-    x2d = np.stack(x2d)
-    gt3d = np.stack(gt3d)
-    mesh = np.stack(mesh) if need_mesh else None
+    """Corrupt (optionally) and stack one mini-batch, then normalize it."""
+    batch = [samples[i] for i in idxs]
+    p2d = [s.pose2d if synth_cfg is None
+           else synthesize_pose_errors(s.pose2d, synth_cfg, symmetry_pairs, rng)
+           for s in batch]
+    x2d = normalize_2d_pose(np.stack(p2d))[0]
+    gt3d = np.stack([s.pose3d for s in batch])
+    mesh = np.stack([s.mesh for s in batch]) if need_mesh else None
     return x2d, gt3d, mesh
 
 

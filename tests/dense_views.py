@@ -3,8 +3,9 @@
 The library keeps graphs and Laplacians as padded row tables and never
 builds a dense matrix. Tests read and write small graphs as dense matrices
 through these helpers. gathered_product is the row-gather Laplacian
-product that the block product replaced, kept as a bit-level reference. assert_same_operators
-and assert_same_hierarchy compare rebuilt structures field by field.
+product that the block product replaced, kept as a bit-level reference.
+assert_same_operators and assert_same_hierarchy compare rebuilt
+structures field by field.
 """
 
 from typing import Sequence
@@ -12,6 +13,15 @@ from typing import Sequence
 import numpy as np
 
 from meshlift import graphs as G
+
+
+def table_to_dense(table: G.RowTable, dtype=np.float64) -> np.ndarray:
+    """The square matrix a RowTable stores, padding entries left 0."""
+    n = table.num_rows
+    out = np.zeros((n, n), dtype=dtype)
+    rows, k = np.nonzero(table.cols >= 0)
+    out[rows, table.cols[rows, k]] = table.values[rows, k]
+    return out
 
 
 def table_from_dense(m) -> G.RowTable:
@@ -38,7 +48,7 @@ def dense(x) -> np.ndarray:
         x = G.RowTable(x.neighbors, (x.neighbors >= 0).astype(np.float64))
     elif isinstance(x, G.ScaledLaplacian):
         x = x.table
-    return x.to_dense(np.float64)
+    return table_to_dense(x)
 
 
 def gathered_product(lap: G.ScaledLaplacian, a: np.ndarray,

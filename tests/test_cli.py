@@ -264,8 +264,8 @@ class TestErrors:
     @pytest.mark.parametrize("widths", [[32, 64], [64, 0], [64, -3]])
     def test_bad_level_widths_stop_train_pose_before_training(
             self, workspace, tmp_path, capsys, widths):
-        """train-full would reject the lifter checkpoint; train-pose fails
-        when it resolves the config, and writes nothing."""
+        """train-pose fails when it resolves the config, before training,
+        and writes nothing."""
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**TINY, "model": {**TINY["model"],
                                                      "level_widths": widths}}))
@@ -285,6 +285,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert "mismatch" in err
+
+    def test_mesh_checkpoint_rejects_other_levels_by_name(self, workspace,
+                                                          capsys):
+        rc = main(["eval", "--config", str(workspace["cfg"]), "--seed", "3",
+                   "--levels", "1",
+                   "--dataset", str(workspace["data"] / "dataset.jsonl"),
+                   "--checkpoint", str(workspace["full"] / "full.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: checkpoint config mismatch on 'levels': checkpoint has 2, "
+            "run config has 1"]
+
+    def test_lifter_checkpoint_trains_at_other_levels(self, workspace,
+                                                      tmp_path, capsys):
+        """A lifter checkpoint holds nothing that depends on the level
+        count, so train-full builds its mesh regressor at its own."""
+        out = tmp_path / "full1"
+        rc = main(["train-full", "--config", str(workspace["cfg"]), "--seed", "3",
+                   "--levels", "1",
+                   "--dataset", str(workspace["data"] / "dataset.jsonl"),
+                   "--checkpoint", str(workspace["pose"] / "posenet.ckpt"),
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert (out / "full.ckpt").exists()
+        rc = main(["eval", "--config", str(workspace["cfg"]), "--seed", "3",
+                   "--levels", "1",
+                   "--dataset", str(workspace["data"] / "dataset.jsonl"),
+                   "--checkpoint", str(out / "full.ckpt")])
+        assert rc == 0, capsys.readouterr().err
 
     def test_export_rejects_meshes_that_do_not_fit_the_template(
             self, workspace, tmp_path, capsys):
@@ -323,18 +352,20 @@ class TestErrors:
         assert e.value.code == 2
 
 
-# Each command's flags: --config and --profile choose the config, and the
-# others are the ones the command reads.
+# Each command's flags besides --config, which chooses the config: the
+# ones the command reads, --profile only where a profile value reaches
+# what the command reads or writes.
 TAKES = {
-    "gen-data": {"seed", "template", "count", "out"},
+    "gen-data": {"profile", "seed", "template", "count", "out"},
     "coarsen": {"seed", "template", "levels"},
     "gradcheck": {"seed"},
-    "train-pose": {"seed", "template", "levels", "dataset", "out"},
-    "train-full": {"seed", "template", "levels", "dataset", "checkpoint", "out"},
-    "eval": {"seed", "template", "levels", "dataset", "checkpoint", "input",
-             "tau", "out"},
-    "infer": {"seed", "template", "levels", "dataset", "checkpoint", "input",
-              "index", "out"},
+    "train-pose": {"profile", "seed", "template", "dataset", "out"},
+    "train-full": {"profile", "seed", "template", "levels", "dataset",
+                   "checkpoint", "out"},
+    "eval": {"profile", "seed", "template", "levels", "dataset", "checkpoint",
+             "input", "tau", "out"},
+    "infer": {"profile", "seed", "template", "levels", "dataset", "checkpoint",
+              "input", "index", "out"},
     "export-obj": {"template", "dataset", "index", "out"},
 }
 SHARED = {"config", "profile", "seed", "template", "levels", "dataset",
@@ -346,16 +377,16 @@ FLAG_VALUES = {"config": "c.json", "profile": "paper", "seed": "5",
 
 
 def test_flag_command_pairs():
-    assert sum(2 + len(flags) for flags in TAKES.values()) == 55
+    assert sum(1 + len(flags) for flags in TAKES.values()) == 51
 
 
 @pytest.mark.parametrize("command", sorted(TAKES))
 def test_command_takes_only_the_flags_it_reads(command, capsys):
     parser = build_parser()
-    for flag in {"config", "profile"} | TAKES[command]:
+    for flag in {"config"} | TAKES[command]:
         args = parser.parse_args([command, f"--{flag}", FLAG_VALUES[flag]])
         assert vars(args)[flag] not in (None, "desk", 0, 64), flag  # not a default
-    for flag in sorted(SHARED - {"config", "profile"} - TAKES[command]):
+    for flag in sorted(SHARED - {"config"} - TAKES[command]):
         with pytest.raises(SystemExit) as e:
             main([command, f"--{flag}", FLAG_VALUES[flag]])
         assert e.value.code == 2, flag

@@ -18,7 +18,7 @@ from meshlift.template import TubeBodySpec, build_tube_body
 from meshlift.tensor import Tensor
 
 from dense_views import (assert_same_hierarchy, assert_same_operators, dense,
-                         edge_list, graph_from_dense)
+                         edge_list, graph_from_dense, table_to_dense)
 
 GOLDEN = Path(__file__).parent / "data" / "hierarchy_golden.json"
 V2_CHECKPOINT = GOLDEN.with_name("checkpoint_v2_tiny.ckpt")
@@ -259,7 +259,7 @@ class TestRecordedHierarchy:
         assert [sl.converged for sl in laps] == case["converged"]
         np.testing.assert_allclose([sl.lambda_max for sl in laps],
                                    case["lambda_max"], rtol=1e-12, atol=0)
-        assert ([digest(sl.table.to_dense(np.float32)) for sl in laps]
+        assert ([digest(table_to_dense(sl.table, np.float32)) for sl in laps]
                 == case["operand_f32"])
 
 

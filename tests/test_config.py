@@ -150,13 +150,32 @@ class TestFilesAndCheckpoints:
     def test_checkpoint_cross_check(self):
         cfg = resolve_config("desk")
         stored = checkpoint_config(cfg)
-        check_checkpoint_config(stored, cfg)  # no raise
+        check_checkpoint_config(stored, cfg, True)  # no raise
         other = resolve_config("desk", {"seed": cfg.seed + 1})
         with pytest.raises(ValueError, match="mismatch on 'seed'"):
-            check_checkpoint_config(stored, other)
+            check_checkpoint_config(stored, other, True)
         other2 = resolve_config("desk", {"model": {"levels": 2}})
         with pytest.raises(ValueError, match="mismatch on 'levels'"):
-            check_checkpoint_config(stored, other2)
+            check_checkpoint_config(stored, other2, True)
+
+    @pytest.mark.parametrize("layer", [
+        {"model": {"levels": 2}}, {"model": {"level_widths": [32, 16]}},
+        {"model": {"order": 2}}, {"model": {"pose_width": 32}},
+        {"model": {"across_level_residual": False}}, {"model": {"dropout": 0.1}}])
+    def test_lifter_checkpoint_ignores_mesh_keys(self, layer):
+        cfg = resolve_config("desk")
+        check_checkpoint_config(checkpoint_config(cfg),
+                                resolve_config("desk", layer), False)
+
+    @pytest.mark.parametrize("layer, key", [
+        ({"seed": 8}, "seed"), ({"template": {"verts_per_ring": 5}}, "template"),
+        ({"model": {"hidden": 128}}, "model.hidden"),
+        ({"model": {"num_blocks": 3}}, "model.num_blocks")])
+    def test_lifter_checkpoint_checks_lifter_keys(self, layer, key):
+        cfg = resolve_config("desk")
+        with pytest.raises(ValueError, match=f"mismatch on '{key}': "):
+            check_checkpoint_config(checkpoint_config(cfg),
+                                    resolve_config("desk", layer), False)
 
     @pytest.mark.parametrize("key, value", [
         ("across_level_residual", False), ("hidden", 128), ("num_blocks", 3),
@@ -167,7 +186,7 @@ class TestFilesAndCheckpoints:
         other = resolve_config("desk", {"model": {key: value}})
         with pytest.raises(ValueError, match=f"mismatch on 'model.{key}': "
                                              f"checkpoint has "):
-            check_checkpoint_config(stored, other)
+            check_checkpoint_config(stored, other, True)
 
 
 class TestCodec:

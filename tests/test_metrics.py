@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshlift.metrics import (NN_BLOCK_ROWS, _kabsch_umeyama,
-                              _nearest_distances, _validate_similarity,
-                              align_batch, f_score, f_scores, mpjpe, mpvpe,
-                              pa_mpjpe)
+import meshlift.metrics as M
+from meshlift.metrics import (NN_BLOCK_ROWS, _kabsch_umeyama, _sweep,
+                              _validate_similarity, align_batch, f_score,
+                              f_scores, mpjpe, mpvpe, pa_mpjpe)
 from meshlift.template import euler_rotation
 
 
@@ -32,6 +32,61 @@ def off_axis(pred, shifts):
 
 AXIS_X = np.array([-150.0, -50.0, 50.0, 150.0])
 AXIS_SHIFTS = np.array([70.0, -70.0, -70.0, 70.0])
+
+
+def brute_nearest(a, b):
+    """Float64 nearest distances both ways, from the full norm matrix."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return d.min(axis=1), d.min(axis=0)
+
+
+def oracle_f_scores(pred, gt, taus, align=True):
+    """The F-score by brute force in float64, one sample and one tau at a
+    time, after the same alignment as f_scores (when ``align``)."""
+    if align:
+        pred = align_batch(pred, gt)
+    out = []
+    for tau in taus:
+        scores = []
+        for a, b in zip(pred, gt):
+            a_to_b, b_to_a = brute_nearest(a, b)
+            precision = (a_to_b <= tau).mean()
+            recall = (b_to_a <= tau).mean()
+            total = precision + recall
+            scores.append(0.0 if total == 0 else 2 * precision * recall / total)
+        out.append(float(np.mean(scores)))
+    return out
+
+
+def tau_apart(tau, center, seed):
+    """(prediction, target) on multiples of 0.5 mm around ``center``, each
+    target point offset from its prediction by exactly tau, tau - 0.5,
+    tau + 0.5 or 0 (exact 3-4-5 and axis vectors), and more than 2 tau + 1
+    from every other point. The prediction is symmetric about ``center``
+    and the offsets come as +d, +d, -d, -d on the points p, -p, q, -q, so
+    they sum to 0 and are uncorrelated with the prediction: the best
+    similarity transform is the identity up to rounding, and alignment
+    leaves each distance within rounding of its offset."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), -1).reshape(-1, 3)
+    grid = grid[np.any(grid != 0, axis=1) & (grid[:, 0] >= 0)]
+    grid = grid[(grid[:, 0] > 0) | (grid[:, 1] > 0)
+                | ((grid[:, 1] == 0) & (grid[:, 2] > 0))]   # one of each +-pair
+    half = grid[rng.permutation(len(grid))[:24]] * (4 * tau + 40.0)
+    half += rng.integers(-8, 9, half.shape) * 0.5        # still 0.5 mm steps
+    offsets = [np.array(v, float) * tau / 5 for v in
+               ([3, 4, 0], [0, -3, 4], [4, 0, 3], [5, 0, 0], [0, 0, -5])]
+    offsets += [np.array([tau - 0.5, 0, 0]), np.array([0, tau + 0.5, 0]),
+                np.zeros(3)]
+    pred, gt = [], []
+    for k in range(0, len(half), 2):
+        d = offsets[rng.integers(len(offsets))]
+        for p, sign in ((half[k], 1), (-half[k], 1), (half[k + 1], -1),
+                        (-half[k + 1], -1)):
+            pred.append(p)
+            gt.append(p + sign * d)
+    pred, gt = np.array(pred) + center, np.array(gt) + center
+    return pred[None], gt[None]
 
 
 def similarity(points, rng):
@@ -195,44 +250,77 @@ class TestFScore:
         pred = similarity(gt, rng)
         assert f_score(pred, gt, tau=1e-3) == 1.0
         # unaligned, some point lies beyond tau = 1 of the other set
-        p_to_g, g_to_p = _nearest_distances(pred[0], gt[0])
+        p_to_g, g_to_p = brute_nearest(pred[0], gt[0])
         assert max(p_to_g.max(), g_to_p.max()) > 1.0
 
-    def test_nearest_distances_equal_brute_force(self):
-        # V spans more than one block of the sweep
-        rng = np.random.default_rng(6)
-        v = 2 * NN_BLOCK_ROWS + 37
-        a, b = random_cloud(rng, n=2, p=v)
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        a_to_b, b_to_a = _nearest_distances(a, b)
-        np.testing.assert_array_equal(a_to_b, d.min(axis=1))
-        np.testing.assert_array_equal(b_to_a, d.min(axis=0))
+    @pytest.mark.parametrize("center", [0.0, 1e6])
+    @pytest.mark.parametrize("tau", [5.0, 15.0])
+    def test_points_tau_apart_equal_oracle(self, tau, center):
+        # |coordinate| about 1e6 mm: float32 spacing there is 1/16 mm
+        for seed in range(4):
+            pred, gt = tau_apart(tau, np.array([center, -center, center]), seed)
+            np.testing.assert_allclose(align_batch(pred, gt), pred, rtol=0,
+                                       atol=1e-6 * max(center, 1.0))
+            want = oracle_f_scores(pred, gt, [tau, tau - 0.5, tau + 0.5])
+            assert f_scores(pred, gt, [tau, tau - 0.5, tau + 0.5]) == want
+            assert 0.0 < want[0] < 1.0
 
-    def test_equals_brute_force_reference(self):
-        # reference: the full (V, V, 3) norm matrix, one tau at a time;
-        # V spans more than one block of the nearest-neighbour sweep
+    def test_float32_alone_misjudges_points_tau_apart(self):
+        # the float64 re-check is what makes the test above pass: at 1e6 mm
+        # the float32 sweep puts points on the wrong side of tau
+        wrong = 0
+        for seed in range(4):
+            pred, gt = tau_apart(5.0, np.array([1e6, -1e6, 1e6]), seed)
+            aligned = align_batch(pred, gt)
+            d32 = np.sqrt(_sweep(aligned, gt, np.float32)[0][0])
+            d64 = brute_nearest(aligned[0], gt[0])[0]
+            wrong += int(np.sum((d32 <= 5.0) != (d64 <= 5.0)))
+        assert wrong > 0
+
+    @pytest.mark.parametrize("center", [0.0, 1e6])
+    @pytest.mark.parametrize("n, v", [(3, 2 * NN_BLOCK_ROWS + 37), (9, 60)])
+    def test_random_clouds_equal_oracle(self, n, v, center):
+        # (3, 549): each sample spans three blocks; (9, 60): four whole
+        # samples per block, the last block one sample. Around 1e6 mm the
+        # float32 distances are off by up to about 0.1 mm.
         rng = np.random.default_rng(6)
-        v = 2 * NN_BLOCK_ROWS + 37
-        gt = random_cloud(rng, n=3, p=v)
+        gt = random_cloud(rng, n=n, p=v) + center
         pred = gt + rng.standard_normal(gt.shape) * 3
-        taus = [0.01, 0.5, 2.0, 5.0, 10.0, 40.0]
-
-        def reference(tau):
-            p = align_batch(pred, gt)
-            scores = []
-            for a, b in zip(p, gt):
-                d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-                precision = (d.min(axis=1) <= tau).mean()
-                recall = (d.min(axis=0) <= tau).mean()
-                total = precision + recall
-                scores.append(0.0 if total == 0 else 2 * precision * recall / total)
-            return float(np.mean(scores))
-
+        taus = [1e-6, 1e-3, 0.01, 0.5, 2.0, 5.0, 10.0, 40.0]
         got = f_scores(pred, gt, taus)
-        assert got == [reference(tau) for tau in taus]
-        assert got == sorted(got) and 0.0 < got[3] < 1.0
+        assert got == oracle_f_scores(pred, gt, taus)
+        assert got == sorted(got) and 0.0 < got[5] < 1.0
         for tau in taus:
             assert f_score(pred, gt, tau) == f_scores(pred, gt, [tau])[0]
+
+    def test_beyond_float32_range_equals_oracle(self):
+        # nearest distances of about 1e20 mm: their float32 squares
+        # overflow to inf, so such a sample is swept in float64
+        rng = np.random.default_rng(10)
+        gt = random_cloud(rng, n=2, p=20, scale=1e20)
+        pred = gt + rng.standard_normal(gt.shape) * 5e19
+        taus = [1e20, 3e20]
+        want = oracle_f_scores(pred, gt, taus)
+        assert f_scores(pred, gt, taus) == want
+        assert 0.0 < want[0] < want[1]
+
+    def test_nan_prediction_gives_oracle_value(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        gt = random_cloud(rng, n=2, p=40)
+        pred = gt + rng.standard_normal(gt.shape)
+        pred[0, 7, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            oracle_f_scores(pred, gt, [5.0])
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            f_scores(pred, gt, [5.0])
+        assert str(got.value) == str(want.value)
+        # past the alignment, the NaN reaches the sweep: the sample scores
+        # 0, as its NaN distances do in the oracle
+        monkeypatch.setattr(M, "align_batch", lambda p, g: p)
+        want = oracle_f_scores(pred, gt, [1.0, 5.0], align=False)
+        assert f_scores(pred, gt, [1.0, 5.0]) == want
+        clean = oracle_f_scores(pred[1:], gt[1:], [5.0], align=False)[0]
+        assert want[1] == clean / 2
 
     def test_memory_linear_in_vertex_count(self):
         # a (V, V, 3) float64 difference array alone would be 216 MB here

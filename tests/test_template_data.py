@@ -144,6 +144,24 @@ class TestNormalize:
         with pytest.raises(ValueError, match="degenerate"):
             D.normalize_2d_pose(np.ones((5, 2)))
 
+    @pytest.mark.parametrize("batch", [(7,), (2, 3)])
+    def test_batch_equals_each_pose(self, batch):
+        poses = np.random.default_rng(1).uniform(0, 640, batch + (12, 2))
+        p, mean, std = D.normalize_2d_pose(poses)
+        assert mean.shape == batch + (2,) and std.shape == batch
+        for idx in np.ndindex(*batch):
+            one = D.normalize_2d_pose(poses[idx])
+            for got, want in zip((p[idx], mean[idx], std[idx]), one):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_degenerate_pose_in_a_batch_errors(self):
+        poses = np.random.default_rng(2).uniform(0, 640, (4, 12, 2))
+        poses[2] = 5.0
+        with pytest.raises(ValueError, match="degenerate"):
+            D.normalize_2d_pose(poses)
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., J, 2\)"):
+            D.normalize_2d_pose(poses[..., :1])
+
 
 class TestErrorSynthesis:
     def pose(self):

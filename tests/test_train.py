@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from meshlift import graphs, layers, models, train
 from meshlift import tensor as T
 from meshlift.config import resolve_config
-from meshlift.data import generate_synthetic_dataset
+from meshlift.data import (generate_synthetic_dataset, normalize_2d_pose,
+                           synthesize_pose_errors)
 from meshlift.evaluate import predict
 from meshlift.io import load_checkpoint, save_checkpoint
 from meshlift.layers import BN_EPS, BatchNorm1d
@@ -480,6 +481,28 @@ class TestSampleShapes:
         with pytest.raises(ValueError, match=f"sample 0: mesh has {v - 1} "
                                              f"vertices but the template has {v}"):
             train_full(cfg, samples, tmp_path / "no-such.ckpt")
+
+
+@pytest.mark.parametrize("synth", [False, True])
+def test_assemble_batch_equals_per_sample_chain(synth):
+    """One normalisation of the stacked batch gives each sample's own
+    normalised pose, and error synthesis draws in the same order."""
+    cfg = tiny_cfg()
+    template, samples = tiny_data()
+    idxs = [5, 0, 3, 1]
+    synth_cfg = cfg.synth if synth else None
+    x2d, gt3d, mesh = train.assemble_batch(
+        samples, idxs, synth_cfg, template.symmetry_pairs,
+        np.random.default_rng(4), need_mesh=True)
+    rng = np.random.default_rng(4)
+    for row, i in enumerate(idxs):
+        p2d = samples[i].pose2d
+        if synth:
+            p2d = synthesize_pose_errors(p2d, synth_cfg, template.symmetry_pairs,
+                                         rng)
+        np.testing.assert_array_equal(x2d[row], normalize_2d_pose(p2d)[0])
+        np.testing.assert_array_equal(gt3d[row], samples[i].pose3d)
+        np.testing.assert_array_equal(mesh[row], samples[i].mesh)
 
 
 # A checkpoint written by the first release of the format. Its run config:
