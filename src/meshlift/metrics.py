@@ -15,10 +15,9 @@ import numpy as np
 
 PROCRUSTES_EPS = 1e-12
 ORTHONORMAL_TOL = 1e-9
-# Rows of the first point set per block of the nearest-neighbour sweep: a
-# block holds whole samples, or part of one sample with more points, and
-# its working set is two (NN_BLOCK_ROWS, P) arrays, linear in the point
-# count.
+# Rows of the first point set per block of the nearest-neighbour sweep,
+# which runs one sample at a time: its working set is two
+# (NN_BLOCK_ROWS, P) arrays, linear in the point count.
 NN_BLOCK_ROWS = 256
 
 
@@ -129,34 +128,33 @@ def _sweep(a, b, dtype):
     """Squared distance from each point of ``a[n]`` to its nearest in
     ``b[n]``, and back: (N, Pa) and (N, Pb) arrays of ``dtype``.
 
-    One pass over blocks of at most ``NN_BLOCK_ROWS`` rows of ``a``, each
-    written into the same two buffers. Squares are summed x, y, z in that
-    order, as ``np.linalg.norm`` does, so in float64 the minima are the
-    ones a brute-force norm matrix holds after squaring. The Gram
-    expansion is avoided: its cancellation can flip a ``<= tau`` test.
+    One sample at a time, over blocks of at most ``NN_BLOCK_ROWS`` rows of
+    ``a[n]``, each written into the same two buffers. Squares are summed
+    x, y, z in that order, as ``np.linalg.norm`` does, so in float64 the
+    minima are the ones a brute-force norm matrix holds after squaring.
+    The Gram expansion is avoided: its cancellation can flip a ``<= tau``
+    test.
     """
     a = a.astype(dtype, copy=False)
-    bt = np.ascontiguousarray(b.transpose(2, 0, 1), dtype=dtype)  # (3, N, Pb)
+    bt = np.ascontiguousarray(b.transpose(0, 2, 1), dtype=dtype)  # (N, 3, Pb)
     n, pa, _ = a.shape
     rows = min(pa, NN_BLOCK_ROWS)
-    per = min(n, NN_BLOCK_ROWS // rows)  # whole samples per block
     a_to_b = np.empty((n, pa), dtype)
     b_to_a = np.full((n, bt.shape[2]), np.inf, dtype)
-    sq = np.empty((per, rows, bt.shape[2]), dtype)
+    sq = np.empty((rows, bt.shape[2]), dtype)
     tmp = np.empty_like(sq)
-    for s0 in range(0, n, per):
-        s1 = min(n, s0 + per)
+    for i in range(n):
         for r0 in range(0, pa, rows):
-            block = a[s0:s1, r0:r0 + rows]
-            q, t = sq[:s1 - s0, :block.shape[1]], tmp[:s1 - s0, :block.shape[1]]
-            np.subtract(block[:, :, 0:1], bt[0, s0:s1, None], out=q)
+            block = a[i, r0:r0 + rows]
+            q, t = sq[:len(block)], tmp[:len(block)]
+            np.subtract(block[:, 0:1], bt[i, 0], out=q)
             np.multiply(q, q, out=q)
             for c in (1, 2):
-                np.subtract(block[:, :, c:c + 1], bt[c, s0:s1, None], out=t)
+                np.subtract(block[:, c:c + 1], bt[i, c], out=t)
                 np.multiply(t, t, out=t)
                 q += t
-            q.min(axis=2, out=a_to_b[s0:s1, r0:r0 + rows])
-            np.minimum(b_to_a[s0:s1], q.min(axis=1), out=b_to_a[s0:s1])
+            q.min(axis=1, out=a_to_b[i, r0:r0 + rows])
+            np.minimum(b_to_a[i], q.min(axis=0), out=b_to_a[i])
     return a_to_b, b_to_a
 
 
@@ -186,6 +184,8 @@ def f_scores(pred, gt, taus) -> list[float]:
     less than 2^-73 mm, and S < 2^60 keeps every float32 square finite.
     """
     pred, gt = _check_pair(pred, gt)
+    if pred.shape[0] == 0:
+        raise ValueError("f_scores: need at least one sample")
     if pred.shape[1] == 0:
         raise ValueError("f_score: empty point set")
     if any(tau <= 0 for tau in taus):

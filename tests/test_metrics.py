@@ -280,9 +280,9 @@ class TestFScore:
     @pytest.mark.parametrize("center", [0.0, 1e6])
     @pytest.mark.parametrize("n, v", [(3, 2 * NN_BLOCK_ROWS + 37), (9, 60)])
     def test_random_clouds_equal_oracle(self, n, v, center):
-        # (3, 549): each sample spans three blocks; (9, 60): four whole
-        # samples per block, the last block one sample. Around 1e6 mm the
-        # float32 distances are off by up to about 0.1 mm.
+        # (3, 549): each sample spans three blocks; (9, 60): nine samples
+        # of one block each. Around 1e6 mm the float32 distances are off
+        # by up to about 0.1 mm.
         rng = np.random.default_rng(6)
         gt = random_cloud(rng, n=n, p=v) + center
         pred = gt + rng.standard_normal(gt.shape) * 3
@@ -342,6 +342,8 @@ class TestFScore:
             f_scores(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), [1.0, -1.0])
         with pytest.raises(ValueError, match="empty"):
             f_score(np.zeros((1, 0, 3)), np.zeros((1, 0, 3)), tau=1.0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            f_scores(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)), [1.0])
 
 
 class TestBatchedHelpers:
