@@ -231,7 +231,7 @@ def cmd_export_obj(args) -> int:
 
 COMMANDS = [
     ("gen-data", cmd_gen_data, "generate a template and JSONL dataset",
-     ("profile", "seed", "template", "count", "out")),
+     ("seed", "template", "count", "out")),
     ("coarsen", cmd_coarsen, "print the graph coarsening hierarchy",
      ("seed", "template", "levels")),
     ("gradcheck", cmd_gradcheck, "run the gradient-check suite", ("seed",)),

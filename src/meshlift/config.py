@@ -260,8 +260,8 @@ def check_checkpoint_config(stored: dict, cfg: RunConfig, has_mesh: bool) -> Non
     key its weights depend on, naming the first such key. A checkpoint
     with mesh weights is compared on every top-level key and every stored
     ``model`` key but dropout, which only changes training-mode forwards;
-    a lifter-only one on ``template``, ``seed``, ``model.hidden`` and
-    ``model.num_blocks``."""
+    a lifter-only one, whose weights are loaded rather than drawn from
+    the seed, on ``template``, ``model.hidden`` and ``model.num_blocks``."""
     expect, model = checkpoint_config(cfg), stored.get("model")
     if not isinstance(model, dict):
         raise ValueError(f"checkpoint config mismatch on 'model': checkpoint "
@@ -270,7 +270,7 @@ def check_checkpoint_config(stored: dict, cfg: RunConfig, has_mesh: bool) -> Non
         keys = ("template", "levels", "seed", "widths", "K")
         model_keys = [key for key in model if key != "dropout"]
     else:
-        keys, model_keys = ("template", "seed"), ("hidden", "num_blocks")
+        keys, model_keys = ("template",), ("hidden", "num_blocks")
     pairs = [(key, stored.get(key), expect[key]) for key in keys]
     pairs += [(f"model.{key}", model.get(key), expect["model"].get(key))
               for key in model_keys]

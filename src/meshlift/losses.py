@@ -182,49 +182,41 @@ def edge_loss(edges: Tensor, gt_edges: np.ndarray) -> Tensor:
 def compute_mesh_losses(pred_mesh: Tensor, gt_mesh, gt_joints,
                         faces: np.ndarray, regressor: np.ndarray,
                         edge_on: bool = True) -> dict:
-    """All four mesh-branch losses as scalar tensors; the surface terms
-    share one surface_edges pass, taped after the vertex and joint losses.
+    """The mesh-branch losses as scalar tensors; the surface terms share
+    one surface_edges pass, taped after the vertex and joint losses.
 
-    With edge_on False (the edge term is gated off, see
-    LossWeights.edge_on) the edge loss runs on an untaped view of the same
-    edges: the same arithmetic and bits, for the trace, but no tape entry
-    that backward would never reach.
+    The edge loss is computed only when edge_on is true; pass
+    LossWeights.edge_on(epoch), so a step whose total leaves the edge
+    term out neither computes nor tapes it.
     """
     parts = {"vertex": vertex_loss(pred_mesh, gt_mesh),
              "joint": joint_loss(pred_mesh, regressor, gt_joints)}
     edges, gt_edges = surface_edges(pred_mesh, gt_mesh, faces)
     parts["normal"] = normal_loss(edges, gt_edges)
-    parts["edge"] = edge_loss(edges if edge_on else Tensor._wrap(edges.data),
-                              gt_edges)
+    if edge_on:
+        parts["edge"] = edge_loss(edges, gt_edges)
     return parts
 
 
 def total_mesh_loss(parts: dict, weights: LossWeights, epoch: int) -> Tensor:
     """Weighted sum of loss parts as one tape entry, in the order vertex,
     joint, normal, edge, pose; each part's gradient is the total's times
-    its weight. The edge term is off while weights.edge_on(epoch) is
-    false. From then on, a taped total needs a taped edge part: one
-    computed with compute_mesh_losses(..., edge_on=False) would add no
-    gradient, and is rejected.
+    its weight. The edge term is in the total, and its part required,
+    only while weights.edge_on(epoch) is true; before that an edge part
+    is left out.
 
     ``epoch`` is 1-based. A "pose" entry, when present, is weighted in
     (second-stage joint training).
     """
     if epoch < 1:
         raise ValueError("epoch is 1-based and must be >= 1")
-    required = {"vertex", "joint", "normal", "edge"}
-    missing = required - set(parts)
+    names = ["vertex", "joint", "normal"] + ["edge"] * weights.edge_on(epoch)
+    missing = set(names) - set(parts)
     if missing:
         raise ValueError(f"missing loss parts: {sorted(missing)}")
-    unknown = set(parts) - required - {"pose"}
+    unknown = set(parts) - {"vertex", "joint", "normal", "edge", "pose"}
     if unknown:
         raise ValueError(f"unknown loss parts: {sorted(unknown)}")
-    names = ["vertex", "joint", "normal"]
-    if weights.edge_on(epoch):
-        if parts["edge"].tape is None and parts["vertex"].tape is not None:
-            raise ValueError(f"epoch {epoch}: the edge term is on, but its part "
-                             "was computed off the tape (edge_on=False)")
-        names.append("edge")
     if "pose" in parts:
         names.append("pose")
     terms = tuple(parts[k] for k in names)

@@ -2,9 +2,13 @@
 
 Stage 1 fits the 2D->3D lifter alone; stage 2 trains lifter + mesh
 regressor end to end on the weighted mesh losses (edge term gated in
-after its start epoch, pose term included by default). Each epoch draws
-its shuffle, error synthesis, and dropout masks from one seeded stream,
-so identical (config, seed, dataset) runs are bit-identical.
+after its start epoch, pose term included by default). Both stages run
+one epoch loop, _fit, around a per-batch step of their own, and trace
+the loss parts that step computed: a part it did not compute (the mesh
+losses in stage 1, the edge loss while it is gated off) is an empty
+cell. Each epoch draws its shuffle, error synthesis, and dropout masks
+from one seeded stream, so identical (config, seed, dataset) runs are
+bit-identical.
 
 Training keeps freed heap memory for the life of its process: both
 stages first set glibc's mmap and trim thresholds to 1 GiB (mallopt,
@@ -225,17 +229,15 @@ def load_models(path, cfg: RunConfig, dtype=np.float32):
 
 # -------------------------------------------------------------- batch making
 
-def assemble_batch(samples, idxs, synth_cfg, symmetry_pairs, rng, *,
-                   need_mesh: bool):
-    """Corrupt (optionally) and stack one mini-batch, then normalize it."""
+def assemble_batch(samples, idxs, synth_cfg, symmetry_pairs, rng):
+    """Corrupt (optionally) and stack one mini-batch's 2D poses, then
+    normalize them; returns them with the stacked 3D poses."""
     batch = [samples[i] for i in idxs]
     p2d = [s.pose2d if synth_cfg is None
            else synthesize_pose_errors(s.pose2d, synth_cfg, symmetry_pairs, rng)
            for s in batch]
     x2d = normalize_2d_pose(np.stack(p2d))[0]
-    gt3d = np.stack([s.pose3d for s in batch])
-    mesh = np.stack([s.mesh for s in batch]) if need_mesh else None
-    return x2d, gt3d, mesh
+    return x2d, np.stack([s.pose3d for s in batch])
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray):
@@ -245,10 +247,6 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
         idxs = perm[start:start + batch_size]
         if len(idxs) >= 2:
             yield idxs
-
-
-def _lr_for_epoch(base: float, decay_epoch: int, factor: float, epoch: int) -> float:
-    return base / factor if epoch > decay_epoch else base
 
 
 def _fmt(value) -> str:
@@ -275,13 +273,15 @@ class _TraceWriter:
         if self._csv:
             self._csv.writerow(TRACE_COLUMNS)
 
-    def row(self, epoch, it, lr, **losses):
-        rec = {"epoch": epoch, "iter": it, "lr": lr}
-        rec.update(losses)
+    def row(self, epoch, it, lr, losses: dict):
+        """Every TRACE_COLUMNS key, None (an empty CSV cell) for a loss
+        part that ``losses`` lacks."""
+        rec = dict.fromkeys(TRACE_COLUMNS)
+        rec.update(epoch=epoch, iter=it, lr=lr, **losses)
         self.rows.append(rec)
         if self._csv:
-            self._csv.writerow([epoch, it, _fmt(lr)] +
-                               [_fmt(losses.get(c)) for c in TRACE_COLUMNS[3:]])
+            self._csv.writerow([epoch, it] +
+                               [_fmt(rec[c]) for c in TRACE_COLUMNS[2:]])
 
     def close(self):
         if self._fh:
@@ -333,50 +333,78 @@ def _keep_freed_heap() -> bool:
                 mallopt(M_TRIM_THRESHOLD, KEPT_HEAP_BYTES) == 1])
 
 
-# ------------------------------------------------------------------- stage 1
+# ---------------------------------------------------------------- both stages
+
+def _fit(cfg: RunConfig, samples, template, named, stage: int, step, out_dir,
+         max_iterations: int | None = None) -> TrainResult:
+    """The epoch loop of training stage 1 or 2: RMSprop over ``named`` at
+    the stage's learning rate, divided by decay_factor after its decay
+    epoch. Each epoch shuffles, corrupts inputs and drops units from the
+    stream [seed, stage, epoch]. ``step(epoch, rng, idxs, x2d, gt3d)``
+    tapes one batch's forward pass and losses and returns (total, parts):
+    the scalar that backward starts from, and the loss parts it computed,
+    by name. A non-finite part or gradient stops training. Stage 1 traces
+    one row per epoch, the mean of its steps; stage 2 one per iteration.
+    ``max_iterations`` stops the loop after that many steps."""
+    tc = cfg.train
+    base_lr, decay_epoch, epochs = (getattr(tc, f"stage{stage}_{key}")
+                                    for key in ("lr", "decay_epoch", "epochs"))
+    opt = RMSprop(named, lr=base_lr)
+    tracker = _GradTracker(named)
+    writer = _TraceWriter(out_dir, f"trace_stage{stage}.csv")
+    synth = cfg.synth if cfg.synth.enabled else None
+    n, it = len(samples), 0
+    try:
+        for epoch in range(1, epochs + 1):
+            opt.lr = base_lr / tc.decay_factor if epoch > decay_epoch else base_lr
+            rng = np.random.default_rng([cfg.seed, stage, epoch])
+            perm = rng.permutation(n)
+            steps = []
+            for idxs in _batches(n, tc.batch_size, perm):
+                x2d, gt3d = assemble_batch(samples, idxs, synth,
+                                           template.symmetry_pairs, rng)
+                total, parts = step(epoch, rng, idxs, x2d, gt3d)
+                _check_finite(parts, epoch, it + 1)
+                T.backward(total)
+                tracker.observe(epoch, it + 1)
+                opt.step()
+                it += 1
+                losses = {f"L_{name}": t.item() for name, t in parts.items()}
+                losses["L_total"] = total.item()
+                if stage == 1:
+                    steps.append(losses)
+                else:
+                    writer.row(epoch, it, opt.lr, losses)
+                if it == max_iterations:
+                    break
+            if stage == 1:
+                writer.row(epoch, it, opt.lr,
+                           {key: float(np.mean([s[key] for s in steps]))
+                            for key in steps[0]})
+            if it == max_iterations:
+                break
+    finally:
+        writer.close()
+    return TrainResult(trace=writer.rows, dead_parameters=tracker.dead())
+
 
 def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
-    """Pre-train the 2D->3D lifter; emits a per-epoch mean loss trace."""
+    """Stage 1: pre-train the 2D->3D lifter on the pose loss."""
     _keep_freed_heap()
     template = build_tube_body(cfg.template)
     check_sample_shapes(samples, template, min_samples=2)
     posenet = _build_posenet(cfg, template)
-    tc = cfg.train
-    named = [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
-    opt = RMSprop(named, lr=tc.stage1_lr)
-    tracker = _GradTracker(named)
-    synth = cfg.synth if cfg.synth.enabled else None
-    writer = _TraceWriter(out_dir, "trace_stage1.csv")
-    n = len(samples)
     j = template.num_joints
-    it = 0
-    try:
-        for epoch in range(1, tc.stage1_epochs + 1):
-            lr = _lr_for_epoch(tc.stage1_lr, tc.stage1_decay_epoch,
-                               tc.decay_factor, epoch)
-            opt.lr = lr
-            rng = np.random.default_rng([cfg.seed, 1, epoch])
-            perm = rng.permutation(n)
-            epoch_losses = []
-            for idxs in _batches(n, tc.batch_size, perm):
-                x2d, gt3d, _ = assemble_batch(samples, idxs, synth,
-                                              template.symmetry_pairs, rng,
-                                              need_mesh=False)
-                x = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
-                with Tape():
-                    out = posenet.forward(x, training=True, rng=rng)
-                    loss = pose_loss(out, gt3d.transpose(1, 0, 2))
-                _check_finite({"pose": loss}, epoch, it + 1)
-                T.backward(loss)
-                tracker.observe(epoch, it + 1)
-                opt.step()
-                epoch_losses.append(loss.item())
-                it += 1
-            mean = float(np.mean(epoch_losses))
-            writer.row(epoch, it, lr, L_pose=mean, L_total=mean)
-    finally:
-        writer.close()
-    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead())
+
+    def step(epoch, rng, idxs, x2d, gt3d):
+        x = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
+        with Tape():
+            out = posenet.forward(x, training=True, rng=rng)
+            loss = pose_loss(out, gt3d.transpose(1, 0, 2))
+        return loss, {"pose": loss}
+
+    named = [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
+    result = _fit(cfg, samples, template, named, 1, step, out_dir)
     if out_dir:
         result.checkpoint_path = Path(out_dir) / "posenet.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet)
@@ -384,12 +412,10 @@ def train_posenet(cfg: RunConfig, samples, out_dir=None) -> TrainResult:
     return result
 
 
-# ------------------------------------------------------------------- stage 2
-
 def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
                max_iterations: int | None = None) -> TrainResult:
-    """End-to-end training of lifter + mesh regressor from a stage-1 start;
-    ``max_iterations`` (>= 1) stops it early."""
+    """Stage 2: end-to-end training of lifter + mesh regressor from a
+    stage-1 start; ``max_iterations`` (>= 1) stops it early."""
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"train_full: max_iterations must be >= 1, "
                          f"got {max_iterations}")
@@ -404,75 +430,37 @@ def train_full(cfg: RunConfig, samples, posenet_checkpoint, out_dir=None,
         _restore_models(posenet_checkpoint, cfg, np.float32, template)
     if "posenet" not in restored:
         raise ValueError("train_full: checkpoint has no lifter weights")
-    tc = cfg.train
+    tc, weights, j = cfg.train, cfg.train.loss_weights, template.num_joints
+
+    def step(epoch, rng, idxs, x2d, gt3d):
+        # the networks and losses take the batch on axis 1
+        x_flat = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
+        x2d = Tensor(x2d.transpose(1, 0, 2), dtype=np.float32)
+        gt3d = gt3d.transpose(1, 0, 2)
+        gt_mesh = np.stack([samples[i].mesh for i in idxs]).transpose(1, 0, 2)
+        if tc.freeze_posenet:
+            # outside the tape: the lifter is a constant feature
+            # extractor, so its forward pass is not backpropagated
+            lifted = posenet.forward(x_flat, training=False)
+        with Tape():
+            if not tc.freeze_posenet:
+                lifted = posenet.forward(x_flat, training=True, rng=rng)
+            pred = meshnet.forward(x2d, lifted, training=True)
+            parts = compute_mesh_losses(pred, gt_mesh, gt3d, template.faces,
+                                        template.joint_regressor,
+                                        edge_on=weights.edge_on(epoch))
+            if tc.include_pose_loss_stage2:
+                parts["pose"] = pose_loss(lifted, gt3d)
+            total = total_mesh_loss(parts, weights, epoch)
+        return total, parts
+
     named = [(f"meshnet.{n}", p) for n, p in meshnet.named_parameters()]
     if not tc.freeze_posenet:
         named += [(f"posenet.{n}", p) for n, p in posenet.named_parameters()]
-    opt = RMSprop(named, lr=tc.stage2_lr)
-    tracker = _GradTracker(named)
-    synth = cfg.synth if cfg.synth.enabled else None
-    writer = _TraceWriter(out_dir, "trace_stage2.csv")
-    n = len(samples)
-    j = template.num_joints
-    weights = tc.loss_weights
-    it = 0
-    done = False
-    try:
-        for epoch in range(1, tc.stage2_epochs + 1):
-            if done:
-                break
-            lr = _lr_for_epoch(tc.stage2_lr, tc.stage2_decay_epoch,
-                               tc.decay_factor, epoch)
-            opt.lr = lr
-            rng = np.random.default_rng([cfg.seed, 2, epoch])
-            perm = rng.permutation(n)
-            for idxs in _batches(n, tc.batch_size, perm):
-                x2d, gt3d, gt_mesh = assemble_batch(samples, idxs, synth,
-                                                    template.symmetry_pairs,
-                                                    rng, need_mesh=True)
-                # the networks and losses take the batch on axis 1
-                x_flat = Tensor(x2d.reshape(len(idxs), 2 * j), dtype=np.float32)
-                x2d = Tensor(x2d.transpose(1, 0, 2), dtype=np.float32)
-                gt3d, gt_mesh = gt3d.transpose(1, 0, 2), gt_mesh.transpose(1, 0, 2)
-                if tc.freeze_posenet:
-                    # outside the tape: the lifter is a constant feature
-                    # extractor, so its forward pass is not backpropagated
-                    lifted = posenet.forward(x_flat, training=False)
-                with Tape():
-                    if not tc.freeze_posenet:
-                        lifted = posenet.forward(x_flat, training=True, rng=rng)
-                    pred = meshnet.forward(x2d, lifted, training=True)
-                    parts = compute_mesh_losses(
-                        pred, gt_mesh, gt3d, template.faces,
-                        template.joint_regressor,
-                        edge_on=weights.edge_on(epoch))
-                    if tc.include_pose_loss_stage2:
-                        parts["pose"] = pose_loss(lifted, gt3d)
-                    total = total_mesh_loss(parts, weights, epoch)
-                _check_finite(parts, epoch, it + 1)
-                T.backward(total)
-                tracker.observe(epoch, it + 1)
-                opt.step()
-                it += 1
-                writer.row(
-                    epoch, it, lr,
-                    L_pose=parts["pose"].item()
-                    if "pose" in parts else None,
-                    L_vertex=parts["vertex"].item(),
-                    L_joint=parts["joint"].item(),
-                    L_normal=parts["normal"].item(),
-                    L_edge=parts["edge"].item(),
-                    L_total=total.item())
-                if max_iterations is not None and it >= max_iterations:
-                    done = True
-                    break
-    finally:
-        writer.close()
-    result = TrainResult(trace=writer.rows, dead_parameters=tracker.dead())
+    result = _fit(cfg, samples, template, named, 2, step, out_dir, max_iterations)
     if out_dir:
         result.checkpoint_path = Path(out_dir) / "full.ckpt"
         save_models(result.checkpoint_path, cfg, posenet=posenet,
                     meshnet=meshnet)
-    result.posenet = posenet
-    result.meshnet = meshnet
+    result.posenet, result.meshnet = posenet, meshnet
     return result

@@ -161,14 +161,17 @@ class TestFilesAndCheckpoints:
     @pytest.mark.parametrize("layer", [
         {"model": {"levels": 2}}, {"model": {"level_widths": [32, 16]}},
         {"model": {"order": 2}}, {"model": {"pose_width": 32}},
-        {"model": {"across_level_residual": False}}, {"model": {"dropout": 0.1}}])
+        {"model": {"across_level_residual": False}}, {"model": {"dropout": 0.1}},
+        {"seed": 8}])
     def test_lifter_checkpoint_ignores_mesh_keys(self, layer):
+        """The seed too: a lifter checkpoint's weights are loaded, not
+        drawn, and the seed then draws only the fresh mesh regressor."""
         cfg = resolve_config("desk")
         check_checkpoint_config(checkpoint_config(cfg),
                                 resolve_config("desk", layer), False)
 
     @pytest.mark.parametrize("layer, key", [
-        ({"seed": 8}, "seed"), ({"template": {"verts_per_ring": 5}}, "template"),
+        ({"template": {"verts_per_ring": 5}}, "template"),
         ({"model": {"hidden": 128}}, "model.hidden"),
         ({"model": {"num_blocks": 3}}, "model.num_blocks")])
     def test_lifter_checkpoint_checks_lifter_keys(self, layer, key):

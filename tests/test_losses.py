@@ -230,10 +230,10 @@ class TestOneEdgePass:
         assert np.array_equal(parts["edge"].data, edge_loss(*edges).data)
 
     def test_gated_off_edge_term_stays_off_the_tape(self):
-        """edge_on=False computes the edge loss from the same edges without
-        recording its entry, and gives the taped value bit for bit; the
-        total rejects that part once the edge term is on, since it would
-        add no gradient."""
+        """edge_on=False records no edge_loss entry and returns no edge
+        part, and the other parts keep their bits; the total takes those
+        parts while the edge term is gated off and names the edge part
+        as missing once it is on."""
         template, gt, pred = noisy_desk_batch()
         gt_j = np.einsum("jv,vbc->jbc", template.joint_regressor, gt)
         parts, names = {}, {}
@@ -246,12 +246,12 @@ class TestOneEdgePass:
             names[on] = [e[0] for e in tape.entries]
         assert "edge_loss" in names[True] and "edge_loss" not in names[False]
         assert len(names[True]) - len(names[False]) == 1
-        assert not parts[False]["edge"].requires_grad
-        for name, value in parts[True].items():
-            assert np.array_equal(value.data, parts[False][name].data), name
+        assert set(parts[True]) - set(parts[False]) == {"edge"}
+        for name, value in parts[False].items():
+            assert np.array_equal(value.data, parts[True][name].data), name
         w = LossWeights(edge_start_epoch=2)
         total_mesh_loss(parts[False], w, epoch=1)
-        with pytest.raises(ValueError, match="epoch 2: the edge term is on"):
+        with pytest.raises(ValueError, match=r"missing loss parts: \['edge'\]"):
             total_mesh_loss(parts[False], w, epoch=2)
 
 

@@ -211,9 +211,9 @@ class TestStage2:
 
     def test_trainer_gate_agrees_with_total_around_edge_start(self, tmp_path,
                                                               monkeypatch):
-        """At edge_start_epoch - 1 train_full computes the edge part off the
-        tape and the total leaves it out; at edge_start_epoch the part is
-        taped and is an input of the total's entry."""
+        """At edge_start_epoch - 1 train_full computes no edge part and the
+        total leaves the term out; at edge_start_epoch the part is taped
+        and is an input of the total's entry."""
         cfg = tiny_cfg()
         weights = cfg.train.loss_weights
         _, samples = tiny_data()
@@ -229,9 +229,11 @@ class TestStage2:
         def total_spy(parts, weights, epoch):
             total = real_total(parts, weights, epoch)
             refs = total.tape.entries[total.index][1]
+            edge = parts.get("edge")
             seen.setdefault(epoch, set()).add(
-                (gates[id(parts)], parts["edge"].tape is not None,
-                 parts["edge"].index in refs))
+                (gates[id(parts)], edge is not None,
+                 edge is not None and edge.tape is not None
+                 and edge.index in refs))
             return total
 
         monkeypatch.setattr(train, "compute_mesh_losses", parts_spy)
@@ -273,10 +275,35 @@ class TestStage2:
             np.testing.assert_array_equal(m.running_var, n.running_var)
 
     def test_config_mismatch_rejected(self, tmp_path):
-        cfg, samples, s1, _ = self.run_stages(tmp_path)
+        """A mesh checkpoint names the seed it differs on; a lifter
+        checkpoint, whose weights are loaded rather than drawn, trains
+        at another seed."""
+        cfg, samples, s1, s2 = self.run_stages(tmp_path)
         other = tiny_cfg(seed=cfg.seed + 1)
-        with pytest.raises(ValueError, match="mismatch"):
-            train_full(other, samples, s1.checkpoint_path)
+        with pytest.raises(ValueError, match="mismatch on 'seed'"):
+            train_full(other, samples, s2.checkpoint_path)
+        assert len(train_full(other, samples, s1.checkpoint_path,
+                              max_iterations=1).trace) == 1
+
+    def test_rows_hold_every_trace_column(self, tmp_path):
+        """Both stages' rows hold every TRACE_COLUMNS key, None for a part
+        their step did not compute: the mesh parts in stage 1, and the
+        edge part before edge_start_epoch, whose CSV cell is empty."""
+        cfg, _, s1, s2 = self.run_stages(tmp_path)
+        for row in s1.trace + s2.trace:
+            assert list(row) == train.TRACE_COLUMNS
+        for row in s1.trace:
+            assert [k for k, v in row.items() if v is None] == \
+                ["L_vertex", "L_joint", "L_normal", "L_edge"]
+        start = cfg.train.loss_weights.edge_start_epoch
+        gated = [row["epoch"] < start for row in s2.trace]
+        assert True in gated and False in gated
+        for row, off in zip(s2.trace, gated):
+            assert [k for k, v in row.items() if v is None] == \
+                ["L_edge"] * off
+        lines = (tmp_path / "s2" / "trace_stage2.csv").read_text().splitlines()
+        edge = train.TRACE_COLUMNS.index("L_edge")
+        assert [line.split(",")[edge] == "" for line in lines[1:]] == gated
 
     def test_freeze_posenet_keeps_weights(self, tmp_path):
         cfg = tiny_cfg(train={"freeze_posenet": True})
@@ -491,9 +518,9 @@ def test_assemble_batch_equals_per_sample_chain(synth):
     template, samples = tiny_data()
     idxs = [5, 0, 3, 1]
     synth_cfg = cfg.synth if synth else None
-    x2d, gt3d, mesh = train.assemble_batch(
-        samples, idxs, synth_cfg, template.symmetry_pairs,
-        np.random.default_rng(4), need_mesh=True)
+    x2d, gt3d = train.assemble_batch(samples, idxs, synth_cfg,
+                                     template.symmetry_pairs,
+                                     np.random.default_rng(4))
     rng = np.random.default_rng(4)
     for row, i in enumerate(idxs):
         p2d = samples[i].pose2d
@@ -502,7 +529,6 @@ def test_assemble_batch_equals_per_sample_chain(synth):
                                          rng)
         np.testing.assert_array_equal(x2d[row], normalize_2d_pose(p2d)[0])
         np.testing.assert_array_equal(gt3d[row], samples[i].pose3d)
-        np.testing.assert_array_equal(mesh[row], samples[i].mesh)
 
 
 # A checkpoint written by the first release of the format. Its run config:
@@ -535,9 +561,9 @@ def stage2_step(cfg):
     template, _, _, posenet, meshnet = build_models(cfg)
     b, j = cfg.train.batch_size, template.num_joints
     _, samples = generate_synthetic_dataset(cfg.template, b, seed=1)
-    x2d, gt3d, mesh = train.assemble_batch(samples, range(b), None,
-                                           template.symmetry_pairs, None,
-                                           need_mesh=True)
+    x2d, gt3d = train.assemble_batch(samples, range(b), None,
+                                     template.symmetry_pairs, None)
+    mesh = np.stack([s.mesh for s in samples])
     lifted = posenet.forward(Tensor(x2d.reshape(b, 2 * j), dtype=np.float32))
     x2d, gt3d, mesh = (a.transpose(1, 0, 2) for a in (x2d, gt3d, mesh))
 
@@ -597,7 +623,7 @@ def test_desk_stage2_tape_budget():
     Each batch norm carries its ReLU, so no relu entry is left (78 - 10 =
     68), and the desk profile gates the edge term off on every step, so
     its 5 entries (norm_last, sub, absolute, reduce_sum, scalar_mul) are
-    computed off the tape (68 - 5 = 63). Each loss is one entry (the
+    not computed (68 - 5 = 63). Each loss is one entry (the
     vertex loss's 4 and the normal loss's 6 before, and 4 of the joint
     loss's 6), and so is the weighted total (6: the 3 weights' scalar_mul
     and 3 add, one of them adding the untaped pose part): 63 - 3 - 5 - 3
